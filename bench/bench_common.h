@@ -127,12 +127,6 @@ struct BenchArgs {
   int days = 3;          // pipeline days to run (fills the APD window)
   int horizon = 270;     // source-growth day used as "now"
   int threads = 0;       // engine workers; 0 = hardware concurrency, 1 = serial
-  bool rebuild_each_day = false;  // legacy full-rebuild day loop
-  bool legacy_scan = false;       // legacy per-probe scan path
-  // Consume daily scan results through the materializing
-  // ScanFrame::to_report() adapter instead of the zero-allocation
-  // frame (bench_fig8's frame-vs-adapter cost comparison).
-  bool legacy_report = false;
   // Scan-schedule scenario knobs (--protocols, --probe-budget,
   // --retries); defaults reproduce the paper's full scan.
   std::vector<net::Protocol> protocols{net::kAllProtocols.begin(),
@@ -167,12 +161,6 @@ struct BenchArgs {
         args.horizon = detail::parse_int("--horizon", next_value("--horizon"));
       } else if (std::strcmp(argv[i], "--threads") == 0) {
         args.threads = detail::parse_int("--threads", next_value("--threads"));
-      } else if (std::strcmp(argv[i], "--rebuild-each-day") == 0) {
-        args.rebuild_each_day = true;
-      } else if (std::strcmp(argv[i], "--legacy-scan") == 0) {
-        args.legacy_scan = true;
-      } else if (std::strcmp(argv[i], "--legacy-report") == 0) {
-        args.legacy_report = true;
       } else if (std::strcmp(argv[i], "--protocols") == 0) {
         args.protocols =
             detail::parse_protocols("--protocols", next_value("--protocols"));
@@ -195,8 +183,7 @@ struct BenchArgs {
         std::printf(
             "flags: --scale S --days N --horizon D --threads T --out DIR "
             "--protocols icmp,tcp80,tcp443,udp53,udp443 --probe-budget N "
-            "--retries N --rebuild-each-day --legacy-scan --legacy-report "
-            "--trace FILE --metrics FILE --obs-off\n");
+            "--retries N --trace FILE --metrics FILE --obs-off\n");
         std::exit(0);
       } else {
         std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
@@ -263,13 +250,11 @@ struct BenchArgs {
     return schedule;
   }
 
-  /// Pipeline options honoring --rebuild-each-day, --legacy-scan, and
-  /// the schedule flags; every bench that constructs a Pipeline goes
-  /// through this so the escape hatches work uniformly.
+  /// Pipeline options honoring the schedule flags; every bench that
+  /// constructs a Pipeline goes through this so the flags work
+  /// uniformly.
   hitlist::PipelineOptions pipeline_options() const {
     hitlist::PipelineOptions options;
-    options.rebuild_each_day = rebuild_each_day;
-    options.legacy_scan = legacy_scan;
     options.schedule = schedule();
     return options;
   }

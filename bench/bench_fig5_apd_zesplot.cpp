@@ -5,7 +5,7 @@
 #include "apd/apd.h"
 #include "bench_common.h"
 #include "hitlist/stats.h"
-#include "probe/scanner.h"
+#include "scan/scan_engine.h"
 #include "scan/scan_frame.h"
 #include "zesplot/zesplot.h"
 
@@ -68,13 +68,13 @@ int main(int argc, char** argv) {
   // (a) probe EVERYTHING (no APD filter) on ICMP, streaming the
   // per-prefix response counts off the scan instead of materializing
   // a report over the full hitlist.
-  probe::Scanner scanner(sim, &eng);
-  probe::ScanOptions scan_options;
-  scan_options.protocols = {net::Protocol::kIcmp};
+  scan::ScanEngine scan_engine(sim, &eng);
+  scan::ProbeSchedule icmp_only;
+  icmp_only.protocols = {net::Protocol::kIcmp};
   PrefixResponseSink response_sink(pipeline.targets().data(), universe.bgp());
   scan::ScanFrame unfiltered_frame;
-  scanner.scan(pipeline.targets(), args.horizon, scan_options,
-               &unfiltered_frame, &response_sink);
+  scan_engine.scan_addresses(pipeline.targets(), args.horizon, icmp_only,
+                             &unfiltered_frame, &response_sink);
   const util::Counter<ipv6::Prefix>& responses = response_sink.responses();
 
   std::map<ipv6::Prefix, std::uint32_t> asn_of;

@@ -12,8 +12,8 @@ namespace {
 
 // Streaming zesplot accumulator: collects the day's responsive
 // addresses from ResultSink::on_target as the scan completes, instead
-// of materializing a ScanReport per day. Double-buffered so the last
-// completed day survives the next day's stream.
+// of materializing a per-target report each day. Double-buffered so
+// the last completed day survives the next day's stream.
 class ResponseAccumulator final : public scan::ResultSink {
  public:
   explicit ResponseAccumulator(const hitlist::Pipeline& pipeline)

@@ -5,7 +5,7 @@
 // needs all five).
 
 #include "bench_common.h"
-#include "probe/scanner.h"
+#include "probe/cross_protocol_tally.h"
 
 using namespace v6h;
 

@@ -4,17 +4,12 @@
 // (the Akamai/HDNet flakiness).
 //
 // This bench doubles as the longitudinal perf tracker: it times every
-// run_day of the delta-driven pipeline, runs the --rebuild-each-day
-// baseline over the same days, and writes BENCH_pipeline.json (wall
-// time per day, probes, targets for both modes) to --out so the perf
-// trajectory is machine-readable from CI. It also times the resolved
-// scan engine against the legacy per-probe path over the final
-// hitlist and writes the per-probe cost of both to BENCH_scan.json,
-// and times daily result consumption through the zero-allocation
-// ScanFrame against the materializing to_report() adapter
-// (--legacy-report flips which is primary) into BENCH_frame.json —
-// per-day wall time plus heap-allocation counts from the counting
-// allocator below, with a no-regression contract on day_ms.
+// run_day of the delta-driven pipeline and writes BENCH_pipeline.json
+// (wall time, probes, targets, and heap allocations per day, from the
+// counting allocator below) to --out so the perf trajectory is
+// machine-readable from CI; any allocation on a warm day fails the
+// run. It also times the resolved scan engine's protocol sweep over
+// the final hitlist and writes its per-probe cost to BENCH_scan.json.
 //
 // `--protocols` restricts both the daily scans and the per-source
 // longitudinal rows to a subset (QUIC rows need udp443, the ICMP
@@ -25,11 +20,10 @@
 
 #include "bench_common.h"
 #include "obs/obs.h"
-#include "probe/scanner.h"
 #include "scan/scan_engine.h"
 // Replaces global operator new with the shared counting version the
-// zero-alloc test uses, so the per-day series below can report how
-// much heap churn each consumption mode causes.
+// zero-alloc test uses, so the per-day series below can report every
+// heap allocation a day makes.
 #include "util/counting_allocator.h"
 
 using namespace v6h;
@@ -49,35 +43,19 @@ struct DaySeries {
   std::vector<std::size_t> scanned_targets;
   std::vector<std::uint64_t> probes;
   std::vector<std::uint64_t> allocs;  // heap allocations per whole day
-  // Allocations of the result-consumption step alone (the serial
-  // frame read / to_report materialization, after run_day returned
-  // and the workers idled) — the deterministic half of `allocs`, and
-  // what the frame-vs-adapter contract compares.
-  std::vector<std::uint64_t> consume_allocs;
-  std::uint64_t responsive_total = 0;
 
   double total_ms() const {
     double out = 0.0;
     for (const double ms : day_ms) out += ms;
     return out;
   }
-  std::uint64_t total_allocs() const {
-    std::uint64_t out = 0;
-    for (const auto n : allocs) out += n;
-    return out;
-  }
-  std::uint64_t total_consume_allocs() const {
-    std::uint64_t out = 0;
-    for (const auto n : consume_allocs) out += n;
-    return out;
-  }
 };
 
 // Streams each day's registry-merged telemetry into the bench series:
-// with observability on, BENCH_pipeline/BENCH_frame numbers come FROM
-// the shared registry (one telemetry schema for gates and benches)
-// instead of ad-hoc locals. Vectors are pre-reserved by the caller, so
-// on_day never allocates inside an audited window.
+// with observability on, BENCH_pipeline numbers come FROM the shared
+// registry (one telemetry schema for gates and benches) instead of
+// ad-hoc locals. Vectors are pre-reserved by the caller, so on_day
+// never allocates inside an audited window.
 struct SeriesSink final : obs::TelemetrySink {
   DaySeries* series = nullptr;
   void on_day(const obs::DayTelemetry& t) override {
@@ -91,16 +69,14 @@ struct SeriesSink final : obs::TelemetrySink {
 };
 
 // Run the day loop of `pipeline` (days ending at the horizon), timing
-// each run_day + result consumption and recording the per-day probe
-// and allocation deltas. With `obs` attached the per-day numbers
-// stream from the metrics registry through a TelemetrySink (run_day's
-// own day_ms/new_addresses/probes/allocs); --obs-off falls back to
-// the historical hand-timed locals, which is also the obs-overhead
-// baseline the perf gate compares against. `materialize` consumes
-// each day through the ScanFrame::to_report() adapter (the pre-frame
-// cost profile); otherwise the borrowed frame is read in place.
+// each run_day and recording the per-day probe and allocation deltas.
+// With `obs` attached the per-day numbers stream from the metrics
+// registry through a TelemetrySink (run_day's own
+// day_ms/new_addresses/probes/allocs); --obs-off falls back to
+// hand-timed locals, which is also the obs-overhead baseline the perf
+// gate compares against.
 DaySeries run_timed_days(hitlist::Pipeline& pipeline, netsim::NetworkSim& sim,
-                         const bench::BenchArgs& args, bool materialize,
+                         const bench::BenchArgs& args,
                          obs::Observability* obs) {
   DaySeries series;
   // Pre-size the bench's own per-day series: their geometric growth
@@ -112,7 +88,6 @@ DaySeries run_timed_days(hitlist::Pipeline& pipeline, netsim::NetworkSim& sim,
   series.scanned_targets.reserve(days);
   series.probes.reserve(days);
   series.allocs.reserve(days);
-  series.consume_allocs.reserve(days);
   SeriesSink sink;
   sink.series = &series;
   if (obs != nullptr) obs->set_sink(&sink);
@@ -121,24 +96,10 @@ DaySeries run_timed_days(hitlist::Pipeline& pipeline, netsim::NetworkSim& sim,
     const std::uint64_t allocs_before = util::allocation_count();
     const auto start = std::chrono::steady_clock::now();
     const auto report = pipeline.run_day(args.horizon - i);
-    const auto mid = std::chrono::steady_clock::now();
-    const std::uint64_t consume_before = util::allocation_count();
-    if (materialize) {
-      const auto copy = report.scan().to_report();
-      series.responsive_total += copy.responsive_any_count();
-    } else {
-      series.responsive_total += report.scan().responsive_any_count();
-    }
-    series.consume_allocs.push_back(util::allocation_count() - consume_before);
     const auto stop = std::chrono::steady_clock::now();
-    if (obs != nullptr) {
-      // run_day already streamed this day's entries through the sink;
-      // fold in the result-consumption step (serial, outside run_day)
-      // so the series keep their whole-day semantics.
-      series.day_ms.back() +=
-          std::chrono::duration<double, std::milli>(stop - mid).count();
-      series.allocs.back() += series.consume_allocs.back();
-    } else {
+    // With obs attached, run_day already streamed this day's entries
+    // through the sink.
+    if (obs == nullptr) {
       series.day_ms.push_back(
           std::chrono::duration<double, std::milli>(stop - start).count());
       series.new_addresses.push_back(report.new_addresses);
@@ -173,15 +134,14 @@ std::string json_array(const std::vector<Int>& v) {
   return out + "]";
 }
 
-std::string mode_json(const char* mode, const DaySeries& series) {
+std::string series_json(const char* name, const DaySeries& series) {
   std::string out = "  \"";
-  out += mode;
+  out += name;
   out += "\": {\n    \"day_ms\": " + json_array(series.day_ms);
   out += ",\n    \"new_addresses\": " + json_array(series.new_addresses);
   out += ",\n    \"scanned_targets\": " + json_array(series.scanned_targets);
   out += ",\n    \"probes\": " + json_array(series.probes);
   out += ",\n    \"allocs\": " + json_array(series.allocs);
-  out += ",\n    \"consume_allocs\": " + json_array(series.consume_allocs);
   out += "\n  }";
   return out;
 }
@@ -193,45 +153,18 @@ int main(int argc, char** argv) {
   bench::header("Figure 8: 14-day responsiveness by source (baseline = day-0 responders)");
 
   auto eng = args.make_engine();
-
-  // One Observability instance shared by the warm-up and all three
-  // timed pipelines: the engine records into it from every run, and
-  // the BENCH series below stream from its registry. --obs-off keeps
-  // obs null everywhere, which is the overhead-gate baseline.
-  std::unique_ptr<obs::Observability> observability;
-  if (!args.obs_off) {
-    obs::ObsOptions obs_options;
-    obs_options.tracing = !args.trace_path.empty();
-    // Ring sized for the whole multi-pipeline run: ~(stage spans +
-    // pool_run sweeps + day counters) per day, x4 pipelines x the day
-    // count — 64k events (2 MB) covers the default 30-day bench with
-    // room to spare; overflow drops tail events and is reported in
-    // the trace footer rather than corrupting earlier spans.
-    obs_options.trace_capacity = 1u << 16;
-    observability = std::make_unique<obs::Observability>(
-        obs_options, eng.threads());
-    observability->set_alloc_probe(&util::allocation_count);
-    eng.set_observability(observability.get());
-  }
-  obs::Observability* obs = observability.get();
-  auto pipeline_options = [&] {
-    auto options = args.pipeline_options();
-    options.obs = obs;
-    return options;
-  };
-
   const netsim::Universe universe(args.universe_params(), &eng);
 
-  // Untimed warm-up pipeline: whichever timed series runs first would
-  // otherwise eat the process cold-start alone (first-touch page
-  // faults, lazy PLT binding, cold icache/branch predictors) and the
-  // mode comparisons below would measure run order, not the modes.
-  // A few days through a throwaway pipeline pre-faults the arena the
-  // allocator then recycles for every timed run. It runs with obs
-  // attached (no sink) so the instrumented code paths warm up too.
+  // Untimed warm-up pipeline: the first timed days would otherwise eat
+  // the process cold start alone (first-touch page faults, lazy PLT
+  // binding, cold icache/branch predictors). A few days through a
+  // throwaway pipeline pre-fault the arena the allocator then recycles
+  // for the timed run. Observability is attached only after it (and
+  // after the universe build), so --metrics and --trace cover exactly
+  // the timed pipeline.
   {
     netsim::NetworkSim warm_sim(universe);
-    hitlist::Pipeline warm_pipeline(universe, warm_sim, pipeline_options(),
+    hitlist::Pipeline warm_pipeline(universe, warm_sim, args.pipeline_options(),
                                     &eng);
     const int warm_days = std::min(args.days, 4);
     for (int i = warm_days - 1; i >= 0; --i) {
@@ -239,216 +172,104 @@ int main(int argc, char** argv) {
     }
   }
 
+  // --obs-off keeps obs null, which is the overhead-gate baseline.
+  std::unique_ptr<obs::Observability> observability;
+  if (!args.obs_off) {
+    obs::ObsOptions obs_options;
+    obs_options.tracing = !args.trace_path.empty();
+    // Ring sized for the timed run: ~(stage spans + pool_run sweeps +
+    // day counters) per day — 64k events (2 MB) covers the default
+    // 30-day bench with room to spare; overflow drops tail events and
+    // is reported in the trace footer rather than corrupting earlier
+    // spans.
+    obs_options.trace_capacity = 1u << 16;
+    observability = std::make_unique<obs::Observability>(
+        obs_options, eng.threads());
+    observability->set_alloc_probe(&util::allocation_count);
+    eng.set_observability(observability.get());
+  }
+  obs::Observability* obs = observability.get();
+
   netsim::NetworkSim sim(universe);
-  hitlist::Pipeline pipeline(universe, sim, pipeline_options(), &eng);
-  const DaySeries primary =
-      run_timed_days(pipeline, sim, args, args.legacy_report, obs);
-
-  // The other mode over the same days, as the perf baseline pair:
-  // incremental vs full rebuild, byte-identical output by contract.
-  hitlist::PipelineOptions other_options = pipeline_options();
-  other_options.rebuild_each_day = !args.rebuild_each_day;
-  netsim::NetworkSim other_sim(universe);
-  hitlist::Pipeline other_pipeline(universe, other_sim, other_options, &eng);
-  const DaySeries other =
-      run_timed_days(other_pipeline, other_sim, args, args.legacy_report, obs);
-
-  // Result-consumption pair: the same pipeline config as `primary`,
-  // consumed through the opposite result surface (reusable frame vs
-  // the materializing to_report() adapter), for BENCH_frame.json.
-  netsim::NetworkSim adapter_sim(universe);
-  hitlist::Pipeline adapter_pipeline(universe, adapter_sim, pipeline_options(),
-                                     &eng);
-  const DaySeries consumption_other = run_timed_days(
-      adapter_pipeline, adapter_sim, args, !args.legacy_report, obs);
+  hitlist::PipelineOptions options = args.pipeline_options();
+  options.obs = obs;
+  hitlist::Pipeline pipeline(universe, sim, options, &eng);
+  const DaySeries series = run_timed_days(pipeline, sim, args, obs);
+  // The engine outlives `observability` (declared first in main), so
+  // detach now; the scan-cost probe below is not part of the day loop.
+  eng.set_observability(nullptr);
 
   {
-    const DaySeries& incremental = args.rebuild_each_day ? other : primary;
-    const DaySeries& rebuild = args.rebuild_each_day ? primary : other;
     std::string json = "{\n  \"bench\": \"fig8_longitudinal\",\n";
     json += "  \"scale\": " + std::to_string(args.scale) + ",\n";
     json += "  \"days\": " + std::to_string(args.days) + ",\n";
     json += "  \"threads\": " + std::to_string(args.threads) + ",\n";
     json += "  \"hitlist\": " + std::to_string(pipeline.targets().size()) + ",\n";
-    json += mode_json("incremental", incremental) + ",\n";
-    json += mode_json("rebuild_each_day", rebuild) + "\n}\n";
+    json += series_json("incremental", series) + "\n}\n";
     bench::write_file(args.out_dir + "/BENCH_pipeline.json", json);
-    std::printf(
-        "  day loop: incremental %.1f ms, rebuild-each-day %.1f ms over %d "
-        "days\n",
-        incremental.total_ms(), rebuild.total_ms(), args.days);
-  }
-
-  // BENCH_frame.json: per-day cost of consuming scan results through
-  // the reusable frame vs the --legacy-report adapter path, over
-  // identically-configured pipelines. Contracts: both modes see the
-  // same responses, the consumption step (measured alone, serial, so
-  // thread-pool allocation jitter inside run_day cannot leak in)
-  // allocates strictly less down the frame path, the frame path's
-  // whole-day allocations are exactly zero on every warm day (the
-  // day-loop zero-allocation contract the counting-allocator test
-  // pins at small scale, re-checked here at bench scale), and frame
-  // day wall time must not regress past the adapter path. The wall
-  // margin (20% + 50 ms) is tight enough to actually enforce now
-  // that the warm-up pipeline above removed the cold-start half of
-  // the run-order bias (a residual few-percent warmth skew against
-  // the first timed pipeline remains, plus shared-machine noise on
-  // CI runners — the margin budgets for both); the shared probing
-  // work still dominates both sides, so only a real frame-path
-  // regression — not probing noise — can trip it.
-  {
-    const DaySeries& frame_series =
-        args.legacy_report ? consumption_other : primary;
-    const DaySeries& report_series =
-        args.legacy_report ? primary : consumption_other;
-    std::string json = "{\n  \"bench\": \"frame_consumption\",\n";
-    json += "  \"scale\": " + std::to_string(args.scale) + ",\n";
-    json += "  \"days\": " + std::to_string(args.days) + ",\n";
-    json += "  \"threads\": " + std::to_string(args.threads) + ",\n";
-    json += mode_json("frame", frame_series) + ",\n";
-    json += mode_json("report_adapter", report_series) + "\n}\n";
-    bench::write_file(args.out_dir + "/BENCH_frame.json", json);
-    std::printf(
-        "  result consumption: frame %.1f ms / %llu allocs, to_report "
-        "adapter %.1f ms / %llu allocs over %d days\n",
-        frame_series.total_ms(),
-        static_cast<unsigned long long>(frame_series.total_consume_allocs()),
-        report_series.total_ms(),
-        static_cast<unsigned long long>(report_series.total_consume_allocs()),
-        args.days);
-    if (frame_series.responsive_total != report_series.responsive_total) {
-      std::fprintf(stderr,
-                   "consumption modes disagree: frame saw %llu responders, "
-                   "adapter %llu\n",
-                   static_cast<unsigned long long>(frame_series.responsive_total),
-                   static_cast<unsigned long long>(report_series.responsive_total));
-      return 1;
-    }
-    if (frame_series.total_consume_allocs() >=
-        report_series.total_consume_allocs()) {
-      std::fprintf(
-          stderr,
-          "frame consumption no longer allocates less than the adapter "
-          "path (%llu vs %llu)\n",
-          static_cast<unsigned long long>(frame_series.total_consume_allocs()),
-          static_cast<unsigned long long>(
-              report_series.total_consume_allocs()));
-      return 1;
-    }
-    for (std::size_t i = 1; i < frame_series.allocs.size(); ++i) {
-      if (frame_series.allocs[i] != 0) {
+    std::printf("  day loop: %.1f ms over %d days\n", series.total_ms(),
+                args.days);
+    // The day-loop zero-allocation contract the counting-allocator
+    // test pins at small scale, re-checked here at bench scale: every
+    // day after the first (the cold start) allocates nothing.
+    for (std::size_t i = 1; i < series.allocs.size(); ++i) {
+      if (series.allocs[i] != 0) {
         std::fprintf(stderr,
-                     "frame-path day %zu allocated %llu times; warm run_day "
-                     "days must be allocation-free\n",
-                     i + 1,
-                     static_cast<unsigned long long>(frame_series.allocs[i]));
+                     "day %zu allocated %llu times; warm run_day days must "
+                     "be allocation-free\n",
+                     i + 1, static_cast<unsigned long long>(series.allocs[i]));
         return 1;
       }
-    }
-    if (frame_series.total_ms() > report_series.total_ms() * 1.20 + 50.0) {
-      std::fprintf(stderr,
-                   "frame day_ms regressed past the adapter path "
-                   "(%.1f ms vs %.1f ms)\n",
-                   frame_series.total_ms(), report_series.total_ms());
-      return 1;
     }
   }
 
   auto& sources = pipeline.source_simulator();
-  probe::Scanner scanner(sim, &eng);
   const int day0 = args.horizon;
 
   // Scan-engine cost probe: the day's protocol scan over the final
-  // hitlist, resolved batch path vs the legacy per-probe path. The
-  // resolution cache is built once (sync) the way the pipeline
-  // amortizes it across days; the timed loops are pure probing.
-  // Deliberately a default-policy schedule (the --protocols subset
-  // only): budget and retries would change the probe workload, and
-  // this block times the *same* probes down both paths — the
-  // schedule scenarios exercise the day loop above instead.
+  // hitlist. The resolution cache is built once (sync) the way the
+  // pipeline amortizes it across days; the timed loop is pure
+  // probing. Deliberately a default-policy schedule (the --protocols
+  // subset only): budget and retries would change the probe workload
+  // the committed BENCH_scan.json baseline prices.
   {
-    // Per-path rep counts: each rep is one timed sweep and the
-    // minimum stands for the path, so reps buy noise rejection, not
-    // precision. The resolved sweep is ~100x cheaper per probe —
-    // 30 reps of it still cost less than one legacy sweep.
+    // Each rep is one timed sweep and the minimum stands for the
+    // sweep, so reps buy noise rejection, not precision: timer and
+    // scheduler noise on a shared box is strictly additive, and the
+    // mean of a 70 microsecond sweep is hostage to a single
+    // preemption in a way a 30-rep minimum is not. One untimed sweep
+    // first warms the cache.
     const int resolved_reps = 30;
-    const int legacy_reps = 3;
     scan::ProbeSchedule schedule;
     schedule.protocols = args.protocols;
-    probe::ScanOptions legacy_options;
-    legacy_options.protocols = args.protocols;
-    std::vector<ipv6::Address> targets;
-    pipeline.store().unaliased_addresses(&targets);
     scan::ScanEngine scan_engine(sim, &eng);
     scan_engine.sync(pipeline.store(), day0);
     scan::ScanFrame frame;
-    scan::ScanFrame legacy_frame;
-
-    auto time_ms = [](auto&& fn) {
-      const auto start = std::chrono::steady_clock::now();
-      fn();
-      const auto stop = std::chrono::steady_clock::now();
-      return std::chrono::duration<double, std::milli>(stop - start).count();
-    };
-    // Each path gets one untimed warm-up sweep, then its reps run
-    // back to back and the FASTEST rep stands for the path.
-    // Interleaving the paths (the old shape) charged the resolved
-    // sweep for refilling the cache the ~100x-larger legacy working
-    // set (universe tries, zone records) had just evicted — the
-    // resolved path's whole point is a working set small enough to
-    // stay resident across a day's sweeps, so the phase-separated
-    // timing is the representative one. Min-of-reps, not mean: timer
-    // and scheduler noise on a shared box is strictly additive, and
-    // the mean of a 70 microsecond sweep is hostage to a single
-    // preemption in a way a 30-rep minimum is not.
-    double resolved_ms = 1e300;
-    double legacy_ms = 1e300;
-    std::uint64_t resolved_responses = 0;
-    std::uint64_t legacy_responses = 0;
     scan_engine.scan_store(pipeline.store(), day0, schedule, &frame);
+    double resolved_ms = 1e300;
     for (int rep = 0; rep < resolved_reps; ++rep) {
-      resolved_ms = std::min(resolved_ms, time_ms([&] {
-        scan_engine.scan_store(pipeline.store(), day0, schedule, &frame);
-      }));
+      const auto start = std::chrono::steady_clock::now();
+      scan_engine.scan_store(pipeline.store(), day0, schedule, &frame);
+      const auto stop = std::chrono::steady_clock::now();
+      resolved_ms = std::min(
+          resolved_ms,
+          std::chrono::duration<double, std::milli>(stop - start).count());
     }
-    resolved_responses = frame.responsive_any_count();
-    scanner.scan_legacy(targets, day0, legacy_options, &legacy_frame);
-    for (int rep = 0; rep < legacy_reps; ++rep) {
-      legacy_ms = std::min(legacy_ms, time_ms([&] {
-        scanner.scan_legacy(targets, day0, legacy_options, &legacy_frame);
-      }));
-    }
-    legacy_responses = legacy_frame.responsive_any_count();
-    if (resolved_responses != legacy_responses) {
-      std::fprintf(stderr, "scan paths disagree: resolved %llu vs legacy %llu\n",
-                   static_cast<unsigned long long>(resolved_responses),
-                   static_cast<unsigned long long>(legacy_responses));
-      return 1;
-    }
-    const double sweep_probes = static_cast<double>(targets.size()) *
+    const std::size_t targets = frame.rows().size();
+    const double sweep_probes = static_cast<double>(targets) *
                                 static_cast<double>(args.protocols.size());
     const double resolved_ns =
         sweep_probes > 0 ? resolved_ms * 1e6 / sweep_probes : 0.0;
-    const double legacy_ns =
-        sweep_probes > 0 ? legacy_ms * 1e6 / sweep_probes : 0.0;
     char json[512];
     std::snprintf(json, sizeof json,
                   "{\n  \"bench\": \"scan_engine\",\n  \"scale\": %g,\n"
                   "  \"threads\": %d,\n  \"targets\": %zu,\n"
                   "  \"protocols\": %zu,\n  \"resolved_reps\": %d,\n"
-                  "  \"legacy_reps\": %d,\n"
-                  "  \"legacy_ns_per_probe\": %.2f,\n"
-                  "  \"resolved_ns_per_probe\": %.2f,\n"
-                  "  \"speedup\": %.2f\n}\n",
-                  args.scale, args.threads, targets.size(),
-                  args.protocols.size(), resolved_reps, legacy_reps, legacy_ns,
-                  resolved_ns,
-                  resolved_ns > 0 ? legacy_ns / resolved_ns : 0.0);
+                  "  \"resolved_ns_per_probe\": %.2f\n}\n",
+                  args.scale, args.threads, targets, args.protocols.size(),
+                  resolved_reps, resolved_ns);
     bench::write_file(args.out_dir + "/BENCH_scan.json", json);
-    std::printf("  scan cost: resolved %.1f ns/probe, legacy %.1f ns/probe "
-                "(%.2fx)\n",
-                resolved_ns, legacy_ns,
-                resolved_ns > 0 ? legacy_ns / resolved_ns : 0.0);
+    std::printf("  scan cost: resolved %.1f ns/probe\n", resolved_ns);
   }
 
   // Establish per-source baselines: addresses responsive on day 0.
@@ -456,7 +277,7 @@ int main(int argc, char** argv) {
                                net::Protocol protocol) {
     std::vector<ipv6::Address> out;
     for (const auto& a : addrs) {
-      if (scanner.probe_once(a, protocol, day0).responded) out.push_back(a);
+      if (sim.probe(a, protocol, day0).responded) out.push_back(a);
     }
     return out;
   };
@@ -509,7 +330,7 @@ int main(int argc, char** argv) {
     for (int day = 0; day < horizon_days; ++day) {
       std::size_t alive = 0;
       for (const auto& a : row.baseline) {
-        alive += scanner.probe_once(a, row.protocol, day0 + day).responded;
+        alive += sim.probe(a, row.protocol, day0 + day).responded;
       }
       const double rate = row.baseline.empty()
                               ? 0.0
@@ -540,9 +361,6 @@ int main(int argc, char** argv) {
       std::printf("  metrics: %zu series -> %s\n",
                   obs->registry().metric_count(), args.metrics_path.c_str());
     }
-    // The engine outlives `observability` (declared first in main), so
-    // detach before either unwinds.
-    eng.set_observability(nullptr);
   }
   return 0;
 }

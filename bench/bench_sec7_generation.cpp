@@ -8,7 +8,7 @@
 #include "bench_common.h"
 #include "eipgen/model.h"
 #include "hitlist/stats.h"
-#include "probe/scanner.h"
+#include "scan/scan_engine.h"
 #include "sixgen/sixgen.h"
 
 using namespace v6h;
@@ -69,14 +69,21 @@ int main(int argc, char** argv) {
                      ")");
 
   // Probe all generated addresses on all five protocols.
-  probe::Scanner scanner(sim, &eng);
-  const auto eip_scan = scanner.scan(eip, args.horizon);
-  const auto six_scan = scanner.scan(six, args.horizon);
+  scan::ScanEngine scan_engine(sim, &eng);
+  const scan::ProbeSchedule all_protocols;
+  scan::ScanFrame eip_scan, six_scan;
+  scan_engine.scan_addresses(eip, args.horizon, all_protocols, &eip_scan);
+  scan_engine.scan_addresses(six, args.horizon, all_protocols, &six_scan);
 
-  auto responsive_of = [](const probe::ScanReport& report) {
-    std::vector<probe::TargetResult> out;
-    for (const auto& t : report.targets) {
-      if (t.responded_any()) out.push_back(t);
+  struct Responder {
+    ipv6::Address address;
+    net::ProtocolMask mask;
+  };
+  auto responsive_of = [](const scan::ScanFrame& frame) {
+    std::vector<Responder> out;
+    for (const auto row : frame.rows()) {
+      const net::ProtocolMask mask = frame.mask_of_row(row);
+      if (mask != 0) out.push_back({frame.address_of_row(row), mask});
     }
     return out;
   };
@@ -93,10 +100,10 @@ int main(int argc, char** argv) {
 
   // Overlap responsiveness (paper: 2.5 %, an order of magnitude higher).
   std::size_t overlap_responsive = 0, overlap_total = 0;
-  for (const auto& t : eip_scan.targets) {
-    if (!sixgen_set.count(t.address)) continue;
+  for (const auto row : eip_scan.rows()) {
+    if (!sixgen_set.count(eip_scan.address_of_row(row))) continue;
     ++overlap_total;
-    overlap_responsive += t.responded_any();
+    overlap_responsive += eip_scan.mask_of_row(row) != 0;
   }
   bench::compare("response rate on the overlap set", "2.5 %",
                  util::percent(static_cast<double>(overlap_responsive) /
@@ -104,9 +111,9 @@ int main(int argc, char** argv) {
 
   // ---- Table 7: top protocol combinations.
   bench::header("Table 7: top responsive protocol combinations (6Gen vs Entropy/IP)");
-  auto combo_shares = [](const std::vector<probe::TargetResult>& resp) {
+  auto combo_shares = [](const std::vector<Responder>& resp) {
     std::map<std::uint8_t, std::size_t> combos;
-    for (const auto& t : resp) ++combos[t.responded_mask];
+    for (const auto& r : resp) ++combos[r.mask];
     return combos;
   };
   const auto six_combos = combo_shares(six_resp);
@@ -144,9 +151,9 @@ int main(int argc, char** argv) {
 
   // ---- Figure 9: AS/prefix distributions of responsive addresses.
   bench::header("Figure 9: distributions of responsive generated addresses");
-  auto addresses_of = [](const std::vector<probe::TargetResult>& resp) {
+  auto addresses_of = [](const std::vector<Responder>& resp) {
     std::vector<ipv6::Address> out;
-    for (const auto& t : resp) out.push_back(t.address);
+    for (const auto& r : resp) out.push_back(r.address);
     return out;
   };
   const auto six_summary =

@@ -4,8 +4,8 @@
 
 #include "bench_common.h"
 #include "hitlist/stats.h"
-#include "probe/scanner.h"
 #include "rdns/rdns.h"
+#include "scan/scan_engine.h"
 #include "ipv6/iid.h"
 #include <set>
 
@@ -72,13 +72,15 @@ int main(int argc, char** argv) {
   }
   std::printf("  removed %zu rDNS addresses in aliased prefixes (paper: 13.1k)\n",
               filtered_aliased);
-  probe::Scanner scanner(sim, &eng);
-  const auto rdns_scan = scanner.scan(probe_list, args.horizon);
+  scan::ScanEngine scan_engine(sim, &eng);
+  scan::ScanFrame rdns_scan;
+  scan_engine.scan_addresses(probe_list, args.horizon, scan::ProbeSchedule{},
+                             &rdns_scan);
 
-  auto rate = [](const probe::ScanReport& r, net::Protocol p) {
-    return r.targets.empty() ? 0.0
-                             : static_cast<double>(r.responsive_count(p)) /
-                                   static_cast<double>(r.targets.size());
+  auto rate = [](const scan::ScanFrame& r, net::Protocol p) {
+    return r.rows().empty() ? 0.0
+                            : static_cast<double>(r.responsive_count(p)) /
+                                  static_cast<double>(r.rows().size());
   };
   auto hitlist_rate = [&](net::Protocol p) {
     const auto& frame = report.scan();
@@ -110,9 +112,11 @@ int main(int argc, char** argv) {
     return text;
   };
   std::vector<ipv6::Address> icmp_resp, tcp_resp;
-  for (const auto& t : rdns_scan.targets) {
-    if (t.responded(net::Protocol::kIcmp)) icmp_resp.push_back(t.address);
-    if (t.responded(net::Protocol::kTcp80)) tcp_resp.push_back(t.address);
+  for (const auto row : rdns_scan.rows()) {
+    const net::ProtocolMask mask = rdns_scan.mask_of_row(row);
+    const ipv6::Address& address = rdns_scan.address_of_row(row);
+    if (net::responds_to(mask, net::Protocol::kIcmp)) icmp_resp.push_back(address);
+    if (net::responds_to(mask, net::Protocol::kTcp80)) tcp_resp.push_back(address);
   }
   std::printf("  input : %s\n", top5(walk.addresses).c_str());
   std::printf("  ICMP  : %s\n", top5(icmp_resp).c_str());

@@ -1,12 +1,10 @@
 #include "apd/apd.h"
 
 #include <algorithm>
-#include <array>
 #include <iterator>
 #include <unordered_map>
 
 #include "obs/obs.h"
-#include "scan/scan_engine.h"
 #include "scan/scan_frame.h"
 #include "util/rng.h"
 
@@ -134,22 +132,13 @@ void AliasDetector::reserve_prefixes(std::size_t max_prefixes) {
 PrefixOutcome AliasDetector::probe_prefix(const Prefix& prefix, int day) {
   PrefixOutcome outcome;
   outcome.prefix = prefix;
-  std::array<Address, 16> fanout;
+  // Fan-out addresses are salted per day, so there is nothing to
+  // cache across days: each probe resolves its address directly.
   for (unsigned nybble = 0; nybble < 16; ++nybble) {
-    fanout[nybble] = prefix.fanout_address(nybble, util::hash64(day, nybble, 0xA9D));
-  }
-  if (scan_engine_ != nullptr) {
-    // Fan-out addresses are salted per day, so the engine resolves
-    // them transiently — same probes, same responses, no per-probe
-    // universe lookups beyond the one resolution each.
-    outcome.responded = scan_engine_->probe_fanout(fanout.data(), fanout.size(),
-                                                   options_.protocol, day,
-                                                   /*first_seq=*/0);
-  } else {
-    for (unsigned nybble = 0; nybble < 16; ++nybble) {
-      outcome.responded +=
-          sim_->probe(fanout[nybble], options_.protocol, day, nybble).responded;
-    }
+    const Address target =
+        prefix.fanout_address(nybble, util::hash64(day, nybble, 0xA9D));
+    outcome.responded +=
+        sim_->probe(target, options_.protocol, day, nybble).responded;
   }
   outcome.aliased = outcome.responded == 16;
   return outcome;

@@ -13,7 +13,7 @@
 // crossing lists) is a reusable scratch member. A warm APD day — new
 // prefixes included, once table capacity has warmed up — therefore
 // performs zero heap allocations, which tests/test_day_alloc.cpp and
-// the extended tools/noalloc_lint.py roots both enforce.
+// the symlint noalloc policy's day-loop roots both enforce.
 
 #include <array>
 #include <cstddef>
@@ -31,7 +31,6 @@
 
 namespace v6h::scan {
 class ResultSink;
-class ScanEngine;
 }  // namespace v6h::scan
 
 namespace v6h::obs {
@@ -188,13 +187,6 @@ class AliasDetector {
   explicit AliasDetector(netsim::NetworkSim& sim, const ApdOptions& options = {},
                          engine::Engine* engine = nullptr);
 
-  /// Route the fan-out probes through a scan engine (resolve +
-  /// probe_resolved) instead of per-probe universe lookups. Null
-  /// restores the legacy direct path; both are byte-identical.
-  void set_scan_engine(scan::ScanEngine* scan_engine) {
-    scan_engine_ = scan_engine;
-  }
-
   /// Attach (or detach with nullptr) the observability layer: each
   /// run_day_on_prefixes batch gets an "apd_fanout" stage span and
   /// feeds the pipeline.apd_probes counter. Borrowed; never affects
@@ -253,7 +245,6 @@ class AliasDetector {
   netsim::NetworkSim* sim_;
   ApdOptions options_;
   engine::Engine* engine_;
-  scan::ScanEngine* scan_engine_ = nullptr;
   obs::Observability* obs_ = nullptr;
   util::FlatMap<ipv6::Prefix, VerdictState, ipv6::PrefixHash> state_;
   // Per-day scratch, reused across calls. Workers write disjoint

@@ -17,7 +17,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "ipv6/address.h"
@@ -62,9 +61,8 @@ struct ShardPartition {
   std::array<std::uint32_t, kShardCount + 1> bounds{};
 };
 
-/// Scratch-filling form for the steady-state day loop: `out.order` is
-/// reused across calls (capacity retained), so a warm partition
-/// allocates nothing. The shard key is computed twice per item — two
+/// Partition items[0..count) into `out`. `out.order` is reused across
+/// calls (capacity retained), so a warm partition allocates nothing. The shard key is computed twice per item — two
 /// shift-and-mask passes beat materializing a per-item scratch vector.
 template <typename Item, typename ShardOf>
 void shard_partition_into(const Item* items, std::size_t count,
@@ -82,26 +80,6 @@ void shard_partition_into(const Item* items, std::size_t count,
     out.order[cursor[shard_of_item(items[i])]++] =
         static_cast<std::uint32_t>(i);
   }
-}
-
-template <typename Item, typename ShardOf>
-ShardPartition shard_partition(const Item* items, std::size_t count,
-                               ShardOf&& shard_of_item) {
-  ShardPartition out;
-  shard_partition_into(items, count, std::forward<ShardOf>(shard_of_item),
-                       out);
-  return out;
-}
-
-/// Shard-grouped processing order without the boundaries: workers
-/// chunk this order while outputs stay index-addressed, so the
-/// deterministic merge is simply "read results in input order".
-template <typename Item, typename ShardOf>
-std::vector<std::uint32_t> shard_order(const std::vector<Item>& items,
-                                       ShardOf&& shard_of_item) {
-  return shard_partition(items.data(), items.size(),
-                         std::forward<ShardOf>(shard_of_item))
-      .order;
 }
 
 }  // namespace v6h::engine

@@ -9,21 +9,6 @@ namespace v6h::hitlist {
 using ipv6::Address;
 using ipv6::Prefix;
 
-AliasFilter::AliasFilter(std::vector<Prefix> prefixes)
-    : prefixes_(std::move(prefixes)), any_(!prefixes_.empty()) {
-  // Sorted membership is the invariant insert/remove maintain (and
-  // the order prefixes() promises); current_aliased() already hands
-  // the set over sorted, so this is a no-op on the rebuild path.
-  std::sort(prefixes_.begin(), prefixes_.end());
-  for (const auto& prefix : prefixes_) {
-    const std::size_t first = engine::shard_first(prefix);
-    const std::size_t last = engine::shard_last(prefix);
-    for (std::size_t shard = first; shard <= last; ++shard) {
-      tries_[shard].insert(prefix, true);
-    }
-  }
-}
-
 void AliasFilter::insert(const Prefix& prefix) {
   const auto it =
       std::lower_bound(prefixes_.begin(), prefixes_.end(), prefix);
@@ -48,12 +33,6 @@ void AliasFilter::remove(const Prefix& prefix) {
     tries_[shard].erase(prefix);
   }
   any_ = !prefixes_.empty();
-}
-
-void AliasFilter::is_aliased_many(const std::vector<Address>& in,
-                                  std::vector<char>* aliased,
-                                  engine::Engine* engine) const {
-  is_aliased_many(in.data(), in.size(), aliased, engine);
 }
 
 void AliasFilter::is_aliased_many(const Address* in, std::size_t count,
@@ -104,9 +83,7 @@ Pipeline::Pipeline(const netsim::Universe& universe, netsim::NetworkSim& sim,
       sources_(universe, sim, engine),
       detector_(sim, options_.apd, engine),
       counter_(universe.bgp(), options_.apd.min_targets, engine),
-      scanner_(sim, engine),
       scan_engine_(sim, engine) {
-  if (!options_.legacy_scan) detector_.set_scan_engine(&scan_engine_);
   // Stage-level instrumentation inside the scan engine and the APD
   // fan-out; registry storage was allocated when the Observability
   // was constructed, so attaching it here allocates nothing.
@@ -135,43 +112,6 @@ Pipeline::Pipeline(const netsim::Universe& universe, netsim::NetworkSim& sim,
   scratch_.reserve(bound, prefix_bound);
   delta_.became_aliased.reserve(prefix_bound);
   delta_.became_clean.reserve(prefix_bound);
-}
-
-std::vector<Prefix> Pipeline::rebuild_candidates() {
-  return detector_.candidate_prefixes(store_.addresses());
-}
-
-void Pipeline::rebuild_filter() {
-  filter_ = AliasFilter(detector_.current_aliased());
-  std::vector<char> aliased;
-  filter_.is_aliased_many(store_.addresses(), &aliased, engine_);
-  for (std::size_t row = 0; row < aliased.size(); ++row) {
-    store_.set_aliased(row, aliased[row] != 0);
-  }
-}
-
-void Pipeline::legacy_scan_day(int day, scan::ResultSink* sink) {
-  std::vector<Address> scan_targets;
-  store_.unaliased_addresses(&scan_targets);
-  probe::ScanOptions scan_options;
-  scan_options.protocols = options_.schedule.protocols;
-  // The legacy probe sweep fills a reusable list-aligned scratch
-  // frame; only the masks are re-scattered into the store-aligned
-  // frame (no per-day report materialization even on this path).
-  {
-    obs::StageSpan span(obs_, obs::Stage::kScanProbe);
-    scanner_.scan_legacy(scan_targets, day, scan_options, &legacy_scratch_);
-    const auto& rows = store_.unaliased_rows();
-    frame_.reset(day, store_.addresses().data(), store_.size());
-    frame_.admit(rows.data(), rows.size());
-    net::ProtocolMask* masks = frame_.mutable_masks();
-    const net::ProtocolMask* legacy_masks = legacy_scratch_.masks();
-    for (std::size_t k = 0; k < rows.size(); ++k) {
-      masks[rows[k]] = legacy_masks[k];
-    }
-  }
-  obs::StageSpan span(obs_, obs::Stage::kFrameFinish);
-  frame_.finish(sink);
 }
 
 Pipeline::DayReport Pipeline::run_day(int day, scan::ResultSink* sink) {
@@ -208,75 +148,55 @@ Pipeline::DayReport Pipeline::run_day(int day, scan::ResultSink* sink) {
   }
   delta_.row_count = static_cast<std::uint32_t>(store_.size());
 
-  // 2. APD over the multi-level candidates. Incremental: fold only
-  // the day's new rows into the persistent counters. Rebuild hatch:
-  // re-count the whole hitlist. Either way the candidate batch — and
-  // so every probe — is the same, which is what keeps the two paths
-  // byte-identical: the windowed verdict of a prefix depends on its
-  // full daily probe history.
-  std::vector<Prefix> recounted;
+  // 2. APD over the multi-level candidates: fold only the day's new
+  // rows into the persistent counters. The resulting batch equals a
+  // full recount of the hitlist (AliasDetector::candidate_prefixes),
+  // so every prefix keeps its full daily probe history — which its
+  // windowed verdict depends on.
   {
     obs::StageSpan span(obs_, obs::Stage::kCandidates);
-    if (options_.rebuild_each_day) {
-      recounted = rebuild_candidates();
-    } else {
-      counter_.add_addresses(store_.addresses().data() + delta_.first_new_row,
-                             delta_.new_addresses());
-    }
+    counter_.add_addresses(store_.addresses().data() + delta_.first_new_row,
+                           delta_.new_addresses());
   }
-  const auto& candidates =
-      options_.rebuild_each_day ? recounted : counter_.candidates();
-  detector_.run_day_on_prefixes(candidates, day, sink, scratch_.outcome);
+  detector_.run_day_on_prefixes(counter_.candidates(), day, sink,
+                                scratch_.outcome);
   // Swap, don't move: the outcome's buffers and the delta's circulate
   // between the two structs, so neither side ever reallocates.
   delta_.became_aliased.swap(scratch_.outcome.became_aliased);
   delta_.became_clean.swap(scratch_.outcome.became_clean);
 
-  // 3. Alias filter + per-row verdict flags.
+  // 3. Alias filter + per-row verdict flags. Apply the verdict
+  // transitions in place, then re-filter exactly the rows whose answer
+  // can have changed: the day's new rows (all flags start clean) and
+  // the members of flipped prefixes — a row outside every flipped
+  // prefix keeps yesterday's longest match. Overlap between the two
+  // sets is harmless: both assign the same freshly-computed verdict.
+  // Removes run first so the tries' freed value slots feed the inserts
+  // (the sets are disjoint, so the order cannot change the filter).
   {
     obs::StageSpan span(obs_, obs::Stage::kRefilter);
-    if (options_.rebuild_each_day) {
-      rebuild_filter();
-    } else {
-      // Apply the verdict transitions in place, then re-filter exactly
-      // the rows whose answer can have changed: the day's new rows
-      // (all flags start clean) and the members of flipped prefixes —
-      // a row outside every flipped prefix keeps yesterday's longest
-      // match. Overlap between the two sets is harmless: both assign
-      // the same freshly-computed verdict. Removes run first so the
-      // tries' freed value slots feed the inserts (the sets are
-      // disjoint, so the order cannot change the resulting filter).
-      for (const auto& prefix : delta_.became_clean) filter_.remove(prefix);
-      for (const auto& prefix : delta_.became_aliased) filter_.insert(prefix);
-      filter_.is_aliased_many(
-          store_.addresses().data() + delta_.first_new_row,
-          delta_.new_addresses(), &scratch_.aliased, engine_);
-      for (std::size_t i = 0; i < scratch_.aliased.size(); ++i) {
-        store_.set_aliased(delta_.first_new_row + i,
-                           scratch_.aliased[i] != 0);
-      }
-      scratch_.affected.clear();
-      store_.rows_within_many(delta_.became_aliased, &scratch_.affected);
-      store_.rows_within_many(delta_.became_clean, &scratch_.affected);
-      for (const auto row : scratch_.affected) {
-        store_.set_aliased(row, filter_.is_aliased(store_.address(row)));
-      }
+    for (const auto& prefix : delta_.became_clean) filter_.remove(prefix);
+    for (const auto& prefix : delta_.became_aliased) filter_.insert(prefix);
+    filter_.is_aliased_many(store_.addresses().data() + delta_.first_new_row,
+                            delta_.new_addresses(), &scratch_.aliased,
+                            engine_);
+    for (std::size_t i = 0; i < scratch_.aliased.size(); ++i) {
+      store_.set_aliased(delta_.first_new_row + i, scratch_.aliased[i] != 0);
+    }
+    scratch_.affected.clear();
+    store_.rows_within_many(delta_.became_aliased, &scratch_.affected);
+    store_.rows_within_many(delta_.became_clean, &scratch_.affected);
+    for (const auto row : scratch_.affected) {
+      store_.set_aliased(row, filter_.is_aliased(store_.address(row)));
     }
   }
   report.aliased_prefixes = filter_.prefixes().size();
 
   // 4. Scan everything not inside detected aliased space into the
   // reusable frame. The resolved engine extends its per-row cache by
-  // the day's new rows and answers every probe from it; the legacy
-  // hatch re-resolves per probe and its masks are copied into the
-  // frame so both paths hand consumers the same surface. Identical
-  // frames either way — only per-probe cost differs.
-  if (options_.legacy_scan) {
-    legacy_scan_day(day, sink);
-  } else {
-    scan_engine_.sync(store_, day);
-    scan_engine_.scan_store(store_, day, options_.schedule, &frame_, sink);
-  }
+  // the day's new rows and answers every probe from it.
+  scan_engine_.sync(store_, day);
+  scan_engine_.scan_store(store_, day, options_.schedule, &frame_, sink);
   report.scanned_targets = frame_.rows().size();
   report.frame = &frame_;
 

@@ -180,10 +180,4 @@ const std::vector<std::uint32_t>& TargetStore::unaliased_rows() const {
   return unaliased_rows_;
 }
 
-void TargetStore::unaliased_addresses(std::vector<Address>* out) const {
-  const auto& rows = unaliased_rows();
-  out->reserve(out->size() + rows.size());
-  for (const auto row : rows) out->push_back(addresses_[row]);
-}
-
 }  // namespace v6h::hitlist

@@ -105,10 +105,6 @@ class TargetStore {
   void rows_within_many(const std::vector<ipv6::Prefix>& prefixes,
                         std::vector<std::uint32_t>* rows) const;
 
-  /// Append every non-aliased address in row (= first-seen) order:
-  /// the materialized form of unaliased_rows() (legacy scan path).
-  void unaliased_addresses(std::vector<ipv6::Address>* out) const;
-
   std::size_t sorted_run_count() const { return spans_.size(); }
 
  private:

@@ -116,7 +116,7 @@ class PrefixTrie {
 
  private:
   // The only value-store allocation site, isolated out of line so
-  // tools/noalloc_lint.py can allowlist it by name (the deque's push
+  // the symlint noalloc policy can allowlist it by name (the deque's push
   // machinery must never appear under a lint root directly): a
   // reserve()d trie pops the freelist instead and never gets here.
   [[gnu::noinline]] void grow_values() {

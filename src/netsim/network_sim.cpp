@@ -18,8 +18,8 @@ constexpr std::uint16_t kWsizes[] = {14600, 28800, 29200, 64240, 65535};
 // The static half of the machine image: every field probe() derives
 // from the machine identity alone. The timestamp clock is kept as
 // (hz, offset) so tsval at time t is one multiply-add; hz == 0 means
-// timestamps disabled. Shared by the per-probe legacy path and the
-// resolution cache so the two can never drift apart.
+// timestamps disabled. Shared by probe() and the resolution cache so
+// the two can never drift apart.
 void fill_machine_image(std::uint64_t machine, bool timestamps,
                         ResolvedTarget* out) {
   out->ittl = kIttls[hash64(machine, 0x17) % 5];
@@ -320,25 +320,8 @@ void NetworkSim::probe_resolved_mask(const ResolvedColumns& t,
                                      int day, unsigned seq,
                                      net::ProtocolMask* masks) {
   probes_sent_.fetch_add(count, std::memory_order_relaxed);
-  if (kernel_ == ProbeKernel::kBranchless) {
-    probe_mask_branchless(t, zone_kernel_.data(), rows, count, protocol, day,
-                          seq, masks);
-    return;
-  }
-  const ZoneProbeParams* zones = zone_params_.data();
-  const net::ProtocolMask bit = net::mask_of(protocol);
-  for (std::size_t k = 0; k < count; ++k) {
-    const std::uint32_t i = rows[k];
-    if (!net::responds_to(t.service_mask[i], protocol)) continue;
-    const ZoneProbeParams& zp = zones[t.zone[i]];
-    const std::uint64_t addr_hash = (t.flags[i] & ResolvedTarget::kAliased)
-                                        ? t.alias_hash[t.slot[i]]
-                                        : 0;
-    if (resolved_responds(zp, t.flags[i], t.slot[i], addr_hash, protocol, day,
-                          seq)) {
-      masks[i] |= bit;
-    }
-  }
+  probe_mask_branchless(t, zone_kernel_.data(), rows, count, protocol, day, seq,
+                        masks);
 }
 
 }  // namespace v6h::netsim

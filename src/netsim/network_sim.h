@@ -142,19 +142,12 @@ class NetworkSim {
   /// rows[k] responds — `masks` is a row-indexed column (e.g. a
   /// scan::ScanFrame's mask column), so retries and partial sweeps
   /// scatter into the same buffer without a position remap. Touches
-  /// only the predicate columns (no machine-image fill); the
-  /// responded bit is identical to probe().responded. Runs the
-  /// branchless SIMD kernel by default (probe_kernel.h); the two
-  /// kernels are bit-identical (tests/test_probe_kernel.cpp).
+  /// only the predicate columns (no machine-image fill) through the
+  /// branchless SIMD kernel (probe_kernel.h); the responded bit is
+  /// identical to probe().responded (tests/test_probe_kernel.cpp).
   void probe_resolved_mask(const ResolvedColumns& t, const std::uint32_t* rows,
                            std::size_t count, net::Protocol protocol, int day,
                            unsigned seq, net::ProtocolMask* masks);
-
-  /// Select the probe_resolved_mask implementation. Coordinator-only:
-  /// set it between scans, never while engine workers are probing
-  /// (kernel_ is read unsynchronized inside the sweep).
-  void set_probe_kernel(ProbeKernel kernel) { kernel_ = kernel; }
-  ProbeKernel probe_kernel() const { return kernel_; }
 
   std::uint64_t probes_sent() const {
     return probes_sent_.load(std::memory_order_relaxed);
@@ -173,10 +166,6 @@ class NetworkSim {
   // zone_params_ with thresholds in the kernel's integer form; same
   // construct-once / read-only-after discipline.
   std::vector<ZoneKernelParams> zone_kernel_;
-  // Which probe_resolved_mask implementation runs (see the setter's
-  // discipline note); not part of the read-only invariant above, but
-  // only mutated between scans on the coordinator.
-  ProbeKernel kernel_ = ProbeKernel::kBranchless;
   // Relaxed ordering is sufficient by invariant: this counter is the
   // sim's ONLY mutable state, no other memory is published through
   // it, and nothing branches on intermediate values — every reader
@@ -184,8 +173,12 @@ class NetworkSim {
   // acquire/release on ThreadPool::remaining_ already orders the
   // adds. Atomicity alone keeps the total exact; the schedule-
   // independent sum is what keeps output byte-identical across
-  // thread counts.
-  std::atomic<std::uint64_t> probes_sent_{0};
+  // thread counts. Every probe writes it from every worker, so it
+  // gets a cache line of its own: sharing one with the read-only
+  // fields above, which every probe reads, made a 4-thread campaign
+  // ~30% slower whenever the sim started on a line boundary (4-vCPU
+  // x86-64 VM).
+  alignas(64) std::atomic<std::uint64_t> probes_sent_{0};
 };
 
 }  // namespace v6h::netsim

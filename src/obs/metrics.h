@@ -9,7 +9,7 @@
 // hot-path update surface — add / set / observe — and the day-end
 // merge_day touch only the preallocated cells, so a warm day with
 // metrics enabled performs zero heap allocations (tests/test_obs.cpp
-// pins this with the counting allocator, and tools/noalloc_lint.py
+// pins this with the counting allocator, and the symlint noalloc policy
 // proves it statically from the instrumented day-loop roots).
 //
 // Concurrency discipline: each lane has exactly ONE writer — lane 0

@@ -38,7 +38,7 @@ struct ProbeSchedule {
   std::uint64_t daily_probe_budget = 0;
 
   /// Extra attempts for probes that got no answer, at seq 1, 2, ...
-  /// (the first attempt is seq 0, like the legacy scan). Retries
+  /// (the first attempt is seq 0, NetworkSim::probe's default). Retries
   /// re-roll per-probe loss but not host availability, mirroring how
   /// a real scanner's retransmit beats rate limiting but not downtime.
   unsigned retries = 0;

@@ -1,5 +1,7 @@
 #include "scan/scan_engine.h"
 
+#include <algorithm>
+
 #include "obs/obs.h"
 
 namespace v6h::scan {
@@ -8,6 +10,10 @@ using ipv6::Address;
 using netsim::ResolvedColumns;
 
 namespace {
+
+// Rows per retry tile: the retry pass compacts each tile's misses into
+// a stack buffer of this many row ids.
+constexpr std::size_t kRetryTile = 256;
 
 // Probe one worker chunk of the admitted-row list. `masks` is the
 // frame's row-indexed mask column; every write scatters to the
@@ -20,20 +26,30 @@ void probe_chunk(netsim::NetworkSim& sim, const ResolvedColumns& cols,
                    std::size_t n) {
     sim.probe_resolved_mask(cols, ids, n, protocol, day, /*seq=*/0, masks);
     if (schedule.retries == 0) return;
-    // Retry pass: compact the no-answers and re-probe at seq 1, 2, ...
-    // — a miss stays a miss for availability, but per-probe loss
-    // re-rolls with seq. The scatter writes land at the same rows, so
-    // no position remap is needed.
+    // Retry pass, one fixed stack tile of rows at a time: compact the
+    // tile's no-answers and re-probe them at seq 1, 2, ... — a miss
+    // stays a miss for availability, but per-probe loss re-rolls with
+    // seq. Each row still gets attempts 1..retries until it answers,
+    // so tiling changes neither masks nor probe counts; the scatter
+    // writes land at the same rows, so no position remap is needed.
     const net::ProtocolMask bit = net::mask_of(protocol);
-    std::vector<std::uint32_t> miss_rows;
-    for (unsigned attempt = 1; attempt <= schedule.retries; ++attempt) {
-      miss_rows.clear();
-      for (std::size_t k = 0; k < n; ++k) {
-        if ((masks[ids[k]] & bit) == 0) miss_rows.push_back(ids[k]);
+    std::uint32_t misses[kRetryTile];
+    for (std::size_t begin = 0; begin < n; begin += kRetryTile) {
+      const std::size_t end = std::min(n, begin + kRetryTile);
+      std::size_t missed = 0;
+      for (std::size_t k = begin; k < end; ++k) {
+        if ((masks[ids[k]] & bit) == 0) misses[missed++] = ids[k];
       }
-      if (miss_rows.empty()) return;
-      sim.probe_resolved_mask(cols, miss_rows.data(), miss_rows.size(),
-                              protocol, day, attempt, masks);
+      for (unsigned attempt = 1; attempt <= schedule.retries && missed > 0;
+           ++attempt) {
+        sim.probe_resolved_mask(cols, misses, missed, protocol, day, attempt,
+                                masks);
+        std::size_t still_missed = 0;
+        for (std::size_t k = 0; k < missed; ++k) {
+          if ((masks[misses[k]] & bit) == 0) misses[still_missed++] = misses[k];
+        }
+        missed = still_missed;
+      }
     }
   };
 
@@ -123,19 +139,6 @@ void ScanEngine::scan_addresses(const std::vector<Address>& targets, int day,
   frame->reset(day, targets.data(), targets.size());
   frame->admit_iota(admitted);
   run_scan(*sim_, engine_, obs_, table.columns(), day, schedule, frame, sink);
-}
-
-unsigned ScanEngine::probe_fanout(const Address* addrs, std::size_t count,
-                                  net::Protocol protocol, int day,
-                                  unsigned first_seq) {
-  unsigned responded = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    const auto r = sim_->resolve(addrs[i], day);
-    responded += sim_->probe_resolved(r, protocol, day,
-                                      first_seq + static_cast<unsigned>(i))
-                     .responded;
-  }
-  return responded;
 }
 
 }  // namespace v6h::scan

@@ -1,7 +1,7 @@
 #pragma once
 
-// The resolved-target scan engine: the daily full-hitlist scan and
-// the APD probe fan-out, rebuilt on top of cached probe routing.
+// The resolved-target scan engine: the daily full-hitlist scan,
+// rebuilt on top of cached probe routing.
 //
 // A ScanEngine owns a ResolvedTargetTable aligned with the pipeline's
 // TargetStore rows. Each day it extends the table by the day's new
@@ -11,9 +11,10 @@
 // reusable ScanFrame (zero steady-state allocations; see
 // scan/scan_frame.h) and stream through an optional ResultSink. A
 // ProbeSchedule picks protocols, probe budget, retry policy, and
-// interleave; the default schedule is byte-identical to the legacy
-// Scanner::scan_legacy path for any thread count
-// (tests/test_scan_equivalence.cpp).
+// interleave. A scanned row's protocol bit is set iff NetworkSim::probe
+// answers at some attempt seq 0..retries, for any thread count
+// (tests/test_day_oracle.cpp checks every day of a campaign,
+// tests/test_scan_engine.cpp the retry schedules).
 
 #include <cstdint>
 #include <vector>
@@ -65,19 +66,10 @@ class ScanEngine {
 
   /// Scan an ad-hoc address list through a transient resolution (each
   /// target resolved once, probed protocols.size() x attempts times).
-  /// Frame rows are input-list positions. This is what Scanner::scan
-  /// routes through.
+  /// Frame rows are input-list positions.
   void scan_addresses(const std::vector<ipv6::Address>& targets, int day,
                       const ProbeSchedule& schedule, ScanFrame* frame,
                       ResultSink* sink = nullptr);
-
-  /// APD fan-out batch: resolve-and-probe addrs[0..count) with
-  /// seq = first_seq + i, returning how many responded. Fan-out
-  /// addresses are salted per day, so there is nothing to cache
-  /// across days — this is the routed (resolve + probe_resolved)
-  /// form of the detector's probe loop, byte-identical to it.
-  unsigned probe_fanout(const ipv6::Address* addrs, std::size_t count,
-                        net::Protocol protocol, int day, unsigned first_seq);
 
   const ResolvedTargetTable& table() const { return table_; }
 

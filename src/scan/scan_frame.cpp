@@ -37,17 +37,4 @@ void ScanFrame::finish(ResultSink* sink) {
   if (sink != nullptr) sink->on_day_end(*this);
 }
 
-probe::ScanReport ScanFrame::to_report() const {
-  probe::ScanReport report;
-  report.day = day_;
-  report.targets.resize(rows_.size());
-  for (std::size_t i = 0; i < rows_.size(); ++i) {
-    report.targets[i].address = addrs_[rows_[i]];
-    report.targets[i].responded_mask = masks_[rows_[i]];
-  }
-  report.responsive = responsive_;
-  report.responsive_any = responsive_any_;
-  return report;
-}
-
 }  // namespace v6h::scan

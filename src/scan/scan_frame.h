@@ -2,7 +2,7 @@
 
 // Zero-allocation scan results: the daily protocol scan fills a
 // reusable columnar ScanFrame in place instead of materializing a
-// fresh probe::ScanReport per day.
+// fresh per-target report each day.
 //
 // A frame holds one per-row ProtocolMask column aligned with the
 // producer's row space (hitlist::TargetStore rows for the daily scan,
@@ -11,9 +11,8 @@
 // serial pass at scan end. clear()+refill retains capacity, so a
 // steady-state day performs zero heap allocations in the scan path
 // (tests/test_scan_frame.cpp enforces this with a counting
-// allocator). Streaming consumers implement ResultSink instead of
-// walking a materialized copy; the historical probe::ScanReport
-// survives only as the on-demand to_report() adapter.
+// allocator). Streaming consumers implement ResultSink; one-shot
+// consumers read the admitted rows and their masks in place.
 
 #include <array>
 #include <cstdint>
@@ -22,7 +21,6 @@
 #include "ipv6/address.h"
 #include "ipv6/prefix.h"
 #include "net/protocol.h"
-#include "probe/scanner.h"
 
 namespace v6h::scan {
 
@@ -85,15 +83,7 @@ class ScanFrame {
     return static_cast<std::size_t>(responsive_any_);
   }
 
-  /// Materialize the historical probe::ScanReport (one AoS entry per
-  /// admitted row, tallies copied — never re-tallied). This is the
-  /// only remaining producer of ScanReport: appropriate for one-shot
-  /// consumers that genuinely need an owned AoS copy, wrong inside
-  /// the day loop (it re-introduces the per-day allocation churn the
-  /// frame removes).
-  probe::ScanReport to_report() const;
-
-  // ---- producer surface (ScanEngine / the legacy adapters) --------
+  // ---- producer surface (ScanEngine) ------------------------------
   /// Pre-size both columns for `max_rows` rows. Without it, a frame
   /// over a still-growing row space re-reaches capacity on every
   /// growth day (assign/resize grow exactly to the requested size);

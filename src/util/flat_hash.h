@@ -17,7 +17,7 @@
 // already did.
 //
 // The grow()/reserve() members are the only allocation sites, kept
-// out-of-line-able under -fno-inline so tools/noalloc_lint.py can
+// out-of-line-able under -fno-inline so the symlint noalloc policy can
 // allowlist them by name next to std::vector's growth machinery (the
 // same capacity-elastic policy: allocate while warming up, never
 // again — the runtime counting-allocator test pins the quiet half).

@@ -16,14 +16,11 @@ int main(int argc, char** argv) {
   }
   const auto args = v6h::bench::BenchArgs::parse(argc, argv);
   std::printf(
-      "scale=%g days=%d horizon=%d threads=%d rebuild=%d out=%s "
-      "protocols=%s budget=%lld retries=%d legacy_scan=%d legacy_report=%d "
-      "trace=%s metrics=%s obs_off=%d\n",
-      args.scale, args.days, args.horizon, args.threads,
-      args.rebuild_each_day ? 1 : 0, args.out_dir.c_str(),
+      "scale=%g days=%d horizon=%d threads=%d out=%s protocols=%s "
+      "budget=%lld retries=%d trace=%s metrics=%s obs_off=%d\n",
+      args.scale, args.days, args.horizon, args.threads, args.out_dir.c_str(),
       v6h::scan::protocols_to_string(args.protocols).c_str(), args.probe_budget,
-      args.retries, args.legacy_scan ? 1 : 0, args.legacy_report ? 1 : 0,
-      args.trace_path.empty() ? "-" : args.trace_path.c_str(),
+      args.retries, args.trace_path.empty() ? "-" : args.trace_path.c_str(),
       args.metrics_path.empty() ? "-" : args.metrics_path.c_str(),
       args.obs_off ? 1 : 0);
   return 0;

@@ -1,4 +1,4 @@
-// Negative fixture for tools/noalloc_lint.py: a deliberately
+// Negative fixture for symlint.py --policy noalloc: a deliberately
 // allocating call graph shaped like the hot path, proving the lint
 // bites. fixture_hot_path() allocates through a helper whose name is
 // adjacent to the allowlisted `std::vector<...>::reserve` pattern —

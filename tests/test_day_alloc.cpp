@@ -1,17 +1,20 @@
-// The day-loop zero-allocation contract (ISSUE 8): once the pipeline
-// is warm, an entire run_day — collect, candidate counting, APD
-// verdicts and fan-out, alias filtering, resolution-cache extension,
-// and the protocol scan — performs ZERO heap allocations, measured
-// with the global counting allocator across ALL threads. Flip days
-// (days whose APD verdicts move prefixes in or out of the alias
-// filter, re-filtering the members) are explicitly required in the
-// checked window: verdict application is the most tempting place to
-// allocate, so a window without flips would prove nothing about it.
+// The day-loop zero-allocation contract: once the pipeline is warm,
+// an entire run_day — collect, candidate counting, APD verdicts and
+// fan-out, alias filtering, resolution-cache extension, and the
+// protocol scan — performs ZERO heap allocations, measured with the
+// global counting allocator across ALL threads. Flip days (days whose
+// APD verdicts move prefixes in or out of the alias filter,
+// re-filtering the members) are explicitly required in the checked
+// window: verdict application is the most tempting place to allocate,
+// so a window without flips would prove nothing about it. The
+// contract covers retrying schedules too (both interleaves): the
+// retry pass re-probes misses every day.
 //
-// Static complement: tools/noalloc_lint.py walks the machine-code
-// call graph from Pipeline::run_day and the stage entry points and
-// proves no allocation route exists outside the capacity-elastic
-// allowlist; this test proves those elastic routes actually go quiet.
+// Static complement: tools/symlint.py --policy noalloc walks the
+// machine-code call graph from Pipeline::run_day and the stage entry
+// points and proves no allocation route exists outside the
+// capacity-elastic allowlist; this test proves those elastic routes
+// actually go quiet.
 
 #include <cstdint>
 #include <vector>
@@ -20,6 +23,7 @@
 #include "hitlist/pipeline.h"
 #include "netsim/network_sim.h"
 #include "netsim/universe.h"
+#include "scan/probe_schedule.h"
 #include "test_main.h"
 #include "util/counting_allocator.h"
 
@@ -27,7 +31,8 @@ using namespace v6h;
 
 namespace {
 
-void run_quiet_days(unsigned threads) {
+void run_quiet_days(unsigned threads, const scan::ProbeSchedule& schedule,
+                    const char* label) {
   engine::EngineOptions engine_options;
   engine_options.threads = threads;
   engine::Engine eng(engine_options);
@@ -38,7 +43,9 @@ void run_quiet_days(unsigned threads) {
   params.tail_as_count = 300;
   const netsim::Universe universe(params, &eng);
   netsim::NetworkSim sim(universe);
-  hitlist::Pipeline pipeline(universe, sim, {}, &eng);
+  hitlist::PipelineOptions options;
+  options.schedule = schedule;
+  hitlist::Pipeline pipeline(universe, sim, options, &eng);
 
   // Mid-campaign window: source growth has ramped, APD verdicts are
   // live. The first two days absorb the cold start (capacity
@@ -69,8 +76,8 @@ void run_quiet_days(unsigned threads) {
     const auto allocs = day_allocs[static_cast<std::size_t>(d)];
     CHECK_EQ(allocs, 0u);
     if (allocs != 0) {
-      std::fprintf(stderr, "  day %d (threads %u): %llu allocations\n",
-                   first_day + d, threads,
+      std::fprintf(stderr, "  day %d (threads %u, %s): %llu allocations\n",
+                   first_day + d, threads, label,
                    static_cast<unsigned long long>(allocs));
     }
   }
@@ -79,9 +86,16 @@ void run_quiet_days(unsigned threads) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  scan::ProbeSchedule retrying;
+  retrying.retries = 2;
+  scan::ProbeSchedule retrying_target_major = retrying;
+  retrying_target_major.interleave =
+      scan::ProbeSchedule::Interleave::kTargetMajor;
   for (const unsigned threads :
        v6h::test::thread_counts_from_cli(argc, argv, {1, 4})) {
-    run_quiet_days(threads);
+    run_quiet_days(threads, {}, "default schedule");
+    run_quiet_days(threads, retrying, "retries 2, protocol-major");
+    run_quiet_days(threads, retrying_target_major, "retries 2, target-major");
   }
   std::printf("%d checks, %d failures\n", v6h::test::checks,
               v6h::test::failures);

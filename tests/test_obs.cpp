@@ -2,7 +2,7 @@
 // loop, never steer it, and never touch the heap on a warm day.
 //
 //  1. Determinism: for seeds {1,2,3} x threads {1,4,8}, the DayReport
-//     fingerprint (the test_scan_equivalence idiom) is byte-identical
+//     fingerprint (the test_day_oracle idiom) is byte-identical
 //     with full observability (metrics + tracing) and with it off, and
 //     every metric registered `deterministic` merges to the same value
 //     for every thread count.
@@ -105,14 +105,14 @@ RunResult run_pipeline(std::uint64_t seed, unsigned threads, bool with_obs) {
     field(" new=", report.new_addresses);
     field(" aliased=", report.aliased_prefixes);
     field(" scanned=", report.scanned_targets);
-    const probe::ScanReport materialized = report.scan().to_report();
+    const auto& frame = report.scan();
     for (const auto protocol : net::kAllProtocols) {
-      field(" ", materialized.responsive_count(protocol));
+      field(" ", frame.responsive_count(protocol));
     }
-    for (const auto& target : materialized.targets) {
+    for (const auto row : frame.rows()) {
       fp += "\n  ";
-      fp += target.address.to_string();
-      field("/", target.responded_mask);
+      fp += frame.address_of_row(row).to_string();
+      field("/", frame.mask_of_row(row));
     }
   }
   result.probes = sim.probes_sent();

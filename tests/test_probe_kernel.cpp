@@ -1,21 +1,17 @@
-// The probe-kernel contract (ISSUE 8): NetworkSim's branchless
-// columnar kernel must be BIT-identical to the scalar reference —
-// same responded set for every address class the universe produces
-// (honest live hosts, dead discoverable slots, aliased space,
-// carve-out islands, rotating addresses, unrouted space), every
-// protocol, across days and seq values, for batch shapes that cross
-// the kernel's internal tile boundary and for sparse row subsets.
-// On top of the raw-mask sweep, whole pipeline runs under either
-// kernel must produce byte-identical day fingerprints and probe
-// counts for several seeds and thread counts.
+// The probe-kernel contract: NetworkSim's branchless columnar kernel
+// (probe_resolved_mask) must be BIT-identical to the scalar
+// references — the responded bit of the columnar probe_resolved and
+// of NetworkSim::probe — for every address class the universe
+// produces (honest live hosts, dead discoverable slots, aliased
+// space, carve-out islands, rotating addresses, unrouted space),
+// every protocol, across days and seq values, for batch shapes that
+// cross the kernel's internal tile boundary and for sparse row
+// subsets. Whole campaigns are covered by tests/test_day_oracle.cpp,
+// whose every scanned mask must equal NetworkSim::probe.
 
-#include <string>
 #include <vector>
 
-#include "engine/engine.h"
-#include "hitlist/pipeline.h"
 #include "netsim/network_sim.h"
-#include "netsim/probe_kernel.h"
 #include "netsim/universe.h"
 #include "scan/resolved_table.h"
 #include "test_main.h"
@@ -57,23 +53,26 @@ std::vector<ipv6::Address> probe_targets(const netsim::Universe& universe,
   return out;
 }
 
-// One sweep of both kernels over the same rows; returns true when the
-// scattered masks agree byte for byte.
+// One branchless sweep over `rows` against the scalar columnar
+// probe_resolved over the same rows; returns true when the scattered
+// masks agree byte for byte.
 bool masks_agree(netsim::NetworkSim& sim, const netsim::ResolvedColumns& cols,
                  const std::vector<std::uint32_t>& rows, std::size_t row_count,
                  net::Protocol protocol, int day, unsigned seq) {
+  std::vector<netsim::ProbeResult> results(rows.size());
+  sim.probe_resolved(cols, rows.data(), rows.size(), protocol, day, seq,
+                     results.data());
   std::vector<net::ProtocolMask> scalar(row_count, 0);
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    if (results[k].responded) scalar[rows[k]] |= net::mask_of(protocol);
+  }
   std::vector<net::ProtocolMask> branchless(row_count, 0);
-  sim.set_probe_kernel(netsim::ProbeKernel::kScalar);
-  sim.probe_resolved_mask(cols, rows.data(), rows.size(), protocol, day, seq,
-                          scalar.data());
-  sim.set_probe_kernel(netsim::ProbeKernel::kBranchless);
   sim.probe_resolved_mask(cols, rows.data(), rows.size(), protocol, day, seq,
                           branchless.data());
   return scalar == branchless;
 }
 
-void run_mask_equivalence() {
+void run_tests() {
   netsim::UniverseParams params;
   params.seed = 7;
   params.scale = 0.05;
@@ -118,18 +117,16 @@ void run_mask_equivalence() {
       }
     }
 
-    // The branchless mask must also match the scalar reference
-    // probe() bit (transitively checked above via the scalar kernel,
-    // pinned here directly against the unresolved path).
+    // The branchless mask must also match the model's definition,
+    // the unresolved probe(), directly.
     std::vector<net::ProtocolMask> masks(targets.size(), 0);
-    sim.set_probe_kernel(netsim::ProbeKernel::kBranchless);
     for (const auto protocol : net::kAllProtocols) {
       std::fill(masks.begin(), masks.end(), net::ProtocolMask{0});
       sim.probe_resolved_mask(cols, all_rows.data(), all_rows.size(), protocol,
                               day, /*seq=*/0, masks.data());
       for (std::size_t i = 0; i < targets.size(); ++i) {
-        const bool legacy = sim.probe(targets[i], protocol, day, 0).responded;
-        disagreements += (masks[i] != 0) != legacy;
+        const bool reference = sim.probe(targets[i], protocol, day, 0).responded;
+        disagreements += (masks[i] != 0) != reference;
       }
     }
   }
@@ -137,72 +134,6 @@ void run_mask_equivalence() {
   CHECK(batches == 4u * net::kAllProtocols.size() * 2u * 3u);
 }
 
-// Fingerprint a short pipeline campaign under `kernel`: day report
-// fields, per-protocol response counts, the full per-row scan masks,
-// and the final probe total.
-std::string run_fingerprint(std::uint64_t seed, unsigned threads,
-                            netsim::ProbeKernel kernel) {
-  engine::EngineOptions engine_options;
-  engine_options.threads = threads;
-  engine::Engine eng(engine_options);
-
-  netsim::UniverseParams params;
-  params.seed = seed;
-  params.scale = 0.05;
-  params.tail_as_count = 300;
-  const netsim::Universe universe(params, &eng);
-  netsim::NetworkSim sim(universe);
-  sim.set_probe_kernel(kernel);
-  hitlist::Pipeline pipeline(universe, sim, {}, &eng);
-
-  std::string fp;
-  auto field = [&fp](const char* label, std::uint64_t value) {
-    fp += label;
-    fp += std::to_string(value);
-  };
-  for (int day = 150; day < 153; ++day) {
-    const auto report = pipeline.run_day(day);
-    field("\nday ", static_cast<std::uint64_t>(day));
-    field(" new=", report.new_addresses);
-    field(" aliased=", report.aliased_prefixes);
-    field(" scanned=", report.scanned_targets);
-    for (const auto protocol : net::kAllProtocols) {
-      field(" ", report.scan().responsive_count(protocol));
-    }
-    for (const auto row : report.scan().rows()) {
-      field("\n  ", row);
-      field("/", report.scan().mask_of_row(row));
-    }
-  }
-  field("\nprobes=", sim.probes_sent());
-  return fp;
-}
-
-void run_pipeline_equivalence(const std::vector<unsigned>& thread_counts) {
-  for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
-    for (const unsigned threads : thread_counts) {
-      const auto scalar =
-          run_fingerprint(seed, threads, netsim::ProbeKernel::kScalar);
-      const auto branchless =
-          run_fingerprint(seed, threads, netsim::ProbeKernel::kBranchless);
-      CHECK(!scalar.empty());
-      const bool identical = scalar == branchless;
-      CHECK(identical);
-      if (!identical) {
-        std::fprintf(stderr, "kernel divergence at seed %llu threads %u\n",
-                     static_cast<unsigned long long>(seed), threads);
-      }
-    }
-  }
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  run_mask_equivalence();
-  run_pipeline_equivalence(
-      v6h::test::thread_counts_from_cli(argc, argv, {1, 4, 8}));
-  std::printf("%d checks, %d failures\n", v6h::test::checks,
-              v6h::test::failures);
-  return v6h::test::failures == 0 ? 0 : 1;
-}
+TEST_MAIN()

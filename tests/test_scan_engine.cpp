@@ -1,18 +1,17 @@
-// The resolved-probe contract (ISSUE 4): probing through a cached
-// resolution must be byte-identical to NetworkSim::probe for every
-// kind of address the universe can produce — aliased space, carve-out
+// The resolved-probe contract: probing through a cached resolution
+// must be byte-identical to NetworkSim::probe for every kind of
+// address the universe can produce — aliased space, carve-out
 // islands, honest hosts, dead discoverable addresses, rotating
 // privacy addresses across epoch boundaries, and unrouted space — for
 // all protocols, several days, and several seq values. Also covers
-// the ScanEngine address-scan against Scanner::scan_legacy, and the
-// ProbeSchedule budget/retry scenarios.
+// ScanEngine::scan_addresses against a per-target NetworkSim::probe
+// loop, and the ProbeSchedule budget/retry scenarios.
 
 #include <vector>
 
 #include "engine/engine.h"
 #include "netsim/network_sim.h"
 #include "netsim/universe.h"
-#include "probe/scanner.h"
 #include "scan/probe_schedule.h"
 #include "scan/resolved_table.h"
 #include "scan/scan_engine.h"
@@ -139,41 +138,45 @@ void run_scan_equivalence(const std::vector<unsigned>& thread_counts) {
   const int day = 42;
   std::vector<ipv6::Address> targets = probe_targets(universe, day);
 
+  // Reference: one NetworkSim::probe per target and protocol.
   netsim::NetworkSim reference_sim(universe);
-  probe::Scanner reference(reference_sim);
-  const auto baseline = reference.scan_legacy(targets, day);
-  const std::uint64_t baseline_probes = reference_sim.probes_sent();
+  std::vector<net::ProtocolMask> expected(targets.size(), 0);
+  std::size_t expected_any = 0;
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    for (const auto protocol : net::kAllProtocols) {
+      if (reference_sim.probe(targets[i], protocol, day).responded) {
+        expected[i] |= net::mask_of(protocol);
+      }
+    }
+    expected_any += expected[i] != 0;
+  }
+  CHECK(expected_any > 0);
 
   for (const unsigned threads : thread_counts) {
     engine::EngineOptions engine_options;
     engine_options.threads = threads;
     engine::Engine eng(engine_options);
     netsim::NetworkSim sim(universe);
-    probe::Scanner scanner(sim, &eng);
-    for (const bool legacy : {false, true}) {
-      const auto report = legacy ? scanner.scan_legacy(targets, day)
-                                 : scanner.scan(targets, day);
-      CHECK_EQ(report.targets.size(), baseline.targets.size());
-      std::size_t diff = 0;
-      for (std::size_t i = 0; i < report.targets.size(); ++i) {
-        diff += report.targets[i].address != baseline.targets[i].address;
-        diff += report.targets[i].responded_mask !=
-                baseline.targets[i].responded_mask;
-      }
-      CHECK_EQ(diff, 0u);
-      CHECK_EQ(report.responsive_any_count(), baseline.responsive_any_count());
-      for (const auto protocol : net::kAllProtocols) {
-        CHECK_EQ(report.responsive_count(protocol),
-                 baseline.responsive_count(protocol));
-      }
+    scan::ScanEngine scan_engine(sim, &eng);
+    scan::ScanFrame frame;
+    scan_engine.scan_addresses(targets, day, scan::ProbeSchedule{}, &frame);
+    CHECK_EQ(frame.rows().size(), targets.size());
+    std::size_t diff = 0;
+    for (const auto row : frame.rows()) {
+      diff += frame.address_of_row(row) != targets[row];
+      diff += frame.mask_of_row(row) != expected[row];
     }
-    CHECK_EQ(sim.probes_sent(), 2 * baseline_probes);
+    CHECK_EQ(diff, 0u);
+    CHECK_EQ(frame.responsive_any_count(), expected_any);
+    for (const auto protocol : net::kAllProtocols) {
+      std::size_t responsive = 0;
+      for (const auto mask : expected) {
+        responsive += net::responds_to(mask, protocol);
+      }
+      CHECK_EQ(frame.responsive_count(protocol), responsive);
+    }
+    CHECK_EQ(sim.probes_sent(), reference_sim.probes_sent());
   }
-
-  // Tallies must agree with a hand recount.
-  std::size_t any = 0;
-  for (const auto& t : baseline.targets) any += t.responded_any();
-  CHECK_EQ(baseline.responsive_any_count(), any);
 }
 
 void run_schedule_scenarios() {
@@ -195,7 +198,6 @@ void run_schedule_scenarios() {
     engine.scan_addresses(targets, day, schedule, &frame);
     CHECK_EQ(frame.rows().size(), 40u);
     CHECK_EQ(frame.row_count(), targets.size());
-    CHECK_EQ(frame.to_report().targets.size(), 40u);
     CHECK(sim.probes_sent() <= schedule.daily_probe_budget);
     CHECK_EQ(schedule.admitted_targets(10), 10u);
     scan::ProbeSchedule unlimited;
@@ -210,27 +212,52 @@ void run_schedule_scenarios() {
     scan::ScanEngine engine(sim);
     scan::ProbeSchedule plain;
     scan::ScanFrame frame;
-    engine.scan_addresses(targets, day, plain, &frame);
-    const auto base = frame.to_report();
+    auto masks_of = [&](const scan::ProbeSchedule& schedule) {
+      engine.scan_addresses(targets, day, schedule, &frame);
+      return std::vector<net::ProtocolMask>(frame.masks(),
+                                            frame.masks() + frame.row_count());
+    };
+    const auto base = masks_of(plain);
+    const std::uint64_t base_probes = sim.probes_sent();
     scan::ProbeSchedule retrying;
     retrying.retries = 2;
-    engine.scan_addresses(targets, day, retrying, &frame);
-    const auto retried = frame.to_report();
+    const auto retried = masks_of(retrying);
+    const std::uint64_t retried_probes = sim.probes_sent() - base_probes;
     scan::ProbeSchedule target_major = retrying;
     target_major.interleave = scan::ProbeSchedule::Interleave::kTargetMajor;
-    engine.scan_addresses(targets, day, target_major, &frame);
-    const auto by_target = frame.to_report();
-    CHECK(retried.responsive_any_count() >= base.responsive_any_count());
+    const auto by_target = masks_of(target_major);
     std::size_t lost = 0;
+    std::size_t gained = 0;
     std::size_t interleave_diff = 0;
     for (std::size_t i = 0; i < targets.size(); ++i) {
-      lost += (base.targets[i].responded_mask &
-               ~retried.targets[i].responded_mask) != 0;
-      interleave_diff +=
-          retried.targets[i].responded_mask != by_target.targets[i].responded_mask;
+      lost += (base[i] & ~retried[i]) != 0;
+      gained += retried[i] != base[i];
+      interleave_diff += retried[i] != by_target[i];
     }
     CHECK_EQ(lost, 0u);
+    CHECK(gained > 0);  // some loss must re-roll into an answer
     CHECK_EQ(interleave_diff, 0u);
+    // Both interleaves send the same retries: each miss gets attempts
+    // 1, 2, ... until it answers.
+    CHECK_EQ(sim.probes_sent() - base_probes - retried_probes, retried_probes);
+    // Retry oracle: a row's bit is set iff NetworkSim::probe answers
+    // at some seq in 0..retries.
+    netsim::NetworkSim reference(universe);
+    std::size_t oracle_diff = 0;
+    for (std::size_t i = 0; i < targets.size(); ++i) {
+      net::ProtocolMask expected = 0;
+      for (const auto protocol : net::kAllProtocols) {
+        for (unsigned seq = 0; seq <= retrying.retries; ++seq) {
+          if (reference.probe(targets[i], protocol, day, seq).responded) {
+            expected |= net::mask_of(protocol);
+            break;
+          }
+        }
+      }
+      oracle_diff += retried[i] != expected;
+    }
+    CHECK_EQ(oracle_diff, 0u);
+    CHECK_EQ(retried_probes, reference.probes_sent());
   }
 
   // Protocol names round-trip; unknown names are rejected.

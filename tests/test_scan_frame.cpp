@@ -1,11 +1,10 @@
-// The zero-allocation scan-result contract (ISSUE 5): a warm
-// ScanEngine refilling a warm ScanFrame over a warm TargetStore must
-// perform zero heap allocations in the scan path — scan_store,
-// including the unaliased-row index read, the frame reset/admit, the
-// probe sweep, and the sink completion pass. Enforced with a global
-// counting allocator. Also covers ScanFrame semantics: reuse across
-// days, tallies vs a brute-force recount, sink callback order, and
-// the to_report() adapter.
+// The zero-allocation scan-result contract: a warm ScanEngine
+// refilling a warm ScanFrame over a warm TargetStore must perform zero
+// heap allocations in the scan path — scan_store, including the
+// unaliased-row index read, the frame reset/admit, the probe sweep,
+// and the sink completion pass. Enforced with a global counting
+// allocator. Also covers ScanFrame semantics: reuse across days,
+// tallies vs a brute-force recount, and sink callback order.
 
 #include <vector>
 
@@ -79,8 +78,7 @@ void run_zero_allocation_scan() {
   const int day0 = 100;
   engine.sync(store, day0);
   engine.scan_store(store, day0, schedule, &frame);
-  const auto warm = frame.to_report();
-  CHECK(warm.responsive_any_count() > 0);
+  CHECK(frame.responsive_any_count() > 0);
 
   // Steady state: same store, next days — sync finds nothing to
   // extend, the index has no pending flips, the frame refills in
@@ -124,15 +122,6 @@ void run_zero_allocation_scan() {
     CHECK(!store.aliased(row));
   }
   CHECK_EQ(frame.responsive_any_count(), any);
-
-  // The materializing adapter, by contrast, is the allocating path —
-  // which is exactly why it is on demand.
-  {
-    const std::uint64_t before = allocations();
-    const auto report = frame.to_report();
-    CHECK(allocations() - before > 0);
-    CHECK_EQ(report.targets.size(), frame.rows().size());
-  }
 }
 
 void run_frame_semantics() {
@@ -170,13 +159,10 @@ void run_frame_semantics() {
   CHECK_EQ(frame.responsive_any_count(), 1u);
   CHECK_EQ(frame.responsive_count(net::Protocol::kUdp53), 1u);
   CHECK_EQ(frame.responsive_count(net::Protocol::kIcmp), 0u);
-  const auto report = frame.to_report();
-  CHECK_EQ(report.day, 6);
-  CHECK_EQ(report.targets.size(), 2u);
-  CHECK(report.targets[1].address == addrs[3]);
-  CHECK_EQ(report.targets[1].responded_mask,
+  CHECK_EQ(frame.day(), 6);
+  CHECK(frame.address_of_row(frame.rows()[1]) == addrs[3]);
+  CHECK_EQ(frame.mask_of_row(frame.rows()[1]),
            net::mask_of(net::Protocol::kUdp53));
-  CHECK_EQ(report.responsive_any_count(), 1u);
 }
 
 void run_pipeline_sink_stream() {

@@ -164,15 +164,6 @@ void run_unaliased_index_tests() {
   }
   CHECK(flip_days > 0);
   CHECK(!store.unaliased_rows().empty());
-
-  // unaliased_addresses materializes exactly the indexed rows.
-  std::vector<Address> addrs;
-  store.unaliased_addresses(&addrs);
-  const auto& rows = store.unaliased_rows();
-  CHECK_EQ(addrs.size(), rows.size());
-  for (std::size_t k = 0; k < rows.size(); ++k) {
-    CHECK(addrs[k] == store.address(rows[k]));
-  }
 }
 
 void run_tests() {

@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
-"""CI perf gates over the longitudinal bench artifacts (ISSUE 8).
+"""CI perf gates over the longitudinal bench artifacts.
 
 Compares a fresh bench run against the repo's committed baselines and
 hard-fails the perf-smoke job on:
 
- * a nonzero steady-state allocation count — BENCH_frame.json's frame
-   `allocs` series must be exactly zero on every day after the first
-   (day 1 absorbs the process cold start; every later day, verdict
-   flips included, runs the allocation-free warm loop the
+ * a nonzero steady-state allocation count — BENCH_pipeline.json's
+   incremental `allocs` series must be exactly zero on every day after
+   the first (day 1 absorbs the process cold start; every later day,
+   verdict flips included, runs the allocation-free warm loop the
    counting-allocator test pins at small scale), and
 
  * a resolved-scan cost regression — the fresh
@@ -18,14 +18,15 @@ hard-fails the perf-smoke job on:
    still catching a kernel that quietly fell back to scalar code
    (a ~2.5x jump), and
 
- * with --obs-run (ISSUE 9): an observability overhead regression —
+ * with --obs-run: an observability overhead regression —
    the fully-instrumented run's incremental day-loop total may not
    exceed --obs-factor (default 1.03) times the --obs-off baseline
    plus --obs-grace-ms (default 30 ms — two back-to-back processes on
    a shared CI runner carry a few ms of scheduler noise each, which a
    pure ratio would mistake for overhead on a fast run). The obs
-   run's frame `allocs` must also be zero on every warm day: tracing
-   and metrics enabled may not reintroduce day-loop allocations.
+   run's incremental `allocs` must also be zero on every warm day:
+   tracing and metrics enabled may not reintroduce day-loop
+   allocations.
 
 Usage: check_perf_gates.py --fresh bench-out [--baseline repo-root]
                            [--obs-run bench-out-obs]
@@ -66,19 +67,19 @@ def main():
 
     fresh_scan = load(Path(args.fresh) / "BENCH_scan.json")
     base_scan = load(Path(args.baseline) / "BENCH_scan.json")
-    fresh_frame = load(Path(args.fresh) / "BENCH_frame.json")
+    fresh_pipe = load(Path(args.fresh) / "BENCH_pipeline.json")
 
     failures = 0
 
-    allocs = fresh_frame.get("frame", {}).get("allocs", [])
+    allocs = fresh_pipe.get("incremental", {}).get("allocs", [])
     if not allocs:
-        print("check_perf_gates: BENCH_frame.json has no frame allocs series",
-              file=sys.stderr)
+        print("check_perf_gates: BENCH_pipeline.json has no incremental "
+              "allocs series", file=sys.stderr)
         failures += 1
     for day, count in enumerate(allocs[1:], start=2):
         if count != 0:
-            print(f"check_perf_gates: frame-path day {day} allocated "
-                  f"{count} times; warm run_day days must be allocation-free",
+            print(f"check_perf_gates: day {day} allocated {count} times; "
+                  "warm run_day days must be allocation-free",
                   file=sys.stderr)
             failures += 1
 
@@ -98,10 +99,8 @@ def main():
               f"baseline {base_ns:.2f} — OK")
 
     if args.obs_run:
-        base_pipe = load(Path(args.fresh) / "BENCH_pipeline.json")
         obs_pipe = load(Path(args.obs_run) / "BENCH_pipeline.json")
-        obs_frame = load(Path(args.obs_run) / "BENCH_frame.json")
-        base_ms = sum(base_pipe.get("incremental", {}).get("day_ms", []))
+        base_ms = sum(fresh_pipe.get("incremental", {}).get("day_ms", []))
         obs_ms = sum(obs_pipe.get("incremental", {}).get("day_ms", []))
         if base_ms <= 0 or obs_ms <= 0:
             print("check_perf_gates: missing incremental day_ms series "
@@ -117,11 +116,12 @@ def main():
             print(f"check_perf_gates: obs overhead {obs_ms:.1f} ms vs "
                   f"{base_ms:.1f} ms baseline — OK")
         for day, count in enumerate(
-                obs_frame.get("frame", {}).get("allocs", [])[1:], start=2):
+                obs_pipe.get("incremental", {}).get("allocs", [])[1:],
+                start=2):
             if count != 0:
-                print(f"check_perf_gates: instrumented frame-path day {day} "
-                      f"allocated {count} times; full observability must "
-                      "stay allocation-free on warm days", file=sys.stderr)
+                print(f"check_perf_gates: instrumented day {day} allocated "
+                      f"{count} times; full observability must stay "
+                      "allocation-free on warm days", file=sys.stderr)
                 failures += 1
 
     if failures:
@@ -129,7 +129,7 @@ def main():
               file=sys.stderr)
         return 1
     print(f"check_perf_gates: all gates hold "
-          f"({len(allocs)} frame days, scan within tolerance)")
+          f"({len(allocs)} days, scan within tolerance)")
     return 0
 
 

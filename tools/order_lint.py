@@ -36,28 +36,16 @@ allowlist — every hatch is visible next to the code it excuses, and
 a new unordered iteration anywhere fails CI until it either sorts or
 justifies itself (README "Correctness tooling" has the policy table).
 
-Engines
--------
-  --engine libclang   parse with clang.cindex (pin the matching
-                      python3-clang/libclang in CI) and classify by
-                      canonical types: range-for range expressions,
-                      declaration types, compound assignments with
-                      floating LHS inside lambdas passed to
-                      parallel_for. The precise engine.
-  --engine textual    a self-contained lexer: comments and literals
-                      stripped, declarations of unordered-typed
-                      identifiers (including aliases and
-                      sequence-of-unordered elements) tracked, then
-                      range-fors / member calls / compound assigns
-                      matched against them. No dependencies; catches
-                      everything the repo and its fixtures contain,
-                      by construction slightly under-approximates on
-                      arbitrary C++ (e.g. a container reached through
-                      a function return value).
-  --engine auto       libclang when importable, else textual with a
-                      note on stderr. ctest runs auto so the lint is
-                      enforced even where libclang is absent; CI pins
-                      libclang for the precise engine.
+How it reads C++
+----------------
+A self-contained lexer, no dependencies: comments and literals are
+stripped, declarations of unordered-typed identifiers (including
+aliases and sequence-of-unordered elements) are tracked across each
+file's quoted-#include closure (-I adds include roots), then
+range-fors / member calls / compound assigns are matched against
+them. It catches everything the repo and its fixtures contain, and by
+construction slightly under-approximates on arbitrary C++ (e.g. a
+container reached through a function return value).
 
 Exit status: 0 clean, 1 unallowed finding(s), 2 tool/usage error.
 --expect-violation swaps 0/1 (the order_lint_negative fixture ctest
@@ -172,7 +160,7 @@ def marker_for(raw_lines, line):
     return None
 
 
-# ----------------------------------------------------- textual engine
+# ------------------------------------------------------------- lexer
 def include_closures(raw, roots):
     """path -> set of scanned paths reachable through quoted #includes
     (plus itself). Identifier classification is scoped to this closure
@@ -376,97 +364,6 @@ def lint_text(path, text, code, idents, names):
     return findings
 
 
-# ---------------------------------------------------- libclang engine
-def libclang_available():
-    try:
-        import clang.cindex  # noqa: F401
-        return True
-    except ImportError:
-        return False
-
-
-def lint_file_libclang(path, clang_args, libclang_path):
-    import clang.cindex as ci
-    if libclang_path:
-        try:
-            ci.Config.set_library_file(libclang_path)
-        except Exception:  # already configured on a prior file
-            pass
-    index = ci.Index.create()
-    tu = index.parse(path, args=clang_args)
-    if any(d.severity >= ci.Diagnostic.Fatal for d in tu.diagnostics):
-        raise RuntimeError("fatal parse diagnostics for " + path)
-
-    unordered_start = re.compile(
-        r"^(?:const\s+)?(?:std::|v6h::util::|util::)*"
-        r"(?:unordered_(?:multi)?(?:map|set)|Flat(?:Map|Set))<")
-    ptr_key = re.compile(r"^(?:const\s+)?std::(?:multi)?(?:map|set)<"
-                         r"[^,<]*\*\s*,")
-    findings = []
-
-    def canonical(cursor_type):
-        return cursor_type.get_canonical().spelling.replace("const ", "", 1) \
-            if cursor_type.spelling.startswith("const ") \
-            else cursor_type.get_canonical().spelling
-
-    def is_unordered(cursor_type):
-        s = cursor_type.get_canonical().spelling
-        s = re.sub(r"^(const\s+|\s|&)*", "", s)
-        return unordered_start.match(s) is not None
-
-    def add(cursor, check, message):
-        if cursor.location.file and cursor.location.file.name == path:
-            findings.append(Finding(path, cursor.location.line, check,
-                                    message))
-
-    def walk(cursor, in_parallel_lambda):
-        kind = cursor.kind
-        if kind == ci.CursorKind.CXX_FOR_RANGE_STMT:
-            kids = list(cursor.get_children())
-            # The range initializer is the first non-VAR_DECL child
-            # expression; its type names what is iterated.
-            for kid in kids:
-                if kid.kind != ci.CursorKind.VAR_DECL and is_unordered(
-                        kid.type):
-                    add(cursor, "unordered-iteration",
-                        "range-for over unordered container of type "
-                        + kid.type.get_canonical().spelling)
-                    break
-        elif kind in (ci.CursorKind.VAR_DECL, ci.CursorKind.FIELD_DECL,
-                      ci.CursorKind.PARM_DECL):
-            s = cursor.type.get_canonical().spelling
-            s = re.sub(r"^(const\s+|\s|&)*", "", s)
-            if ptr_key.match(s):
-                add(cursor, "ptr-key-ordered",
-                    "pointer-keyed ordered container: " + s)
-        elif kind == ci.CursorKind.CALL_EXPR and cursor.spelling in (
-                "parallel_for", "parallel_chunks"):
-            for kid in cursor.get_children():
-                walk_lambda_scan(kid)
-            return
-        elif kind == ci.CursorKind.COMPOUND_ASSIGNMENT_OPERATOR and \
-                in_parallel_lambda:
-            kids = list(cursor.get_children())
-            if kids and kids[0].type.get_canonical().kind in (
-                    ci.TypeKind.FLOAT, ci.TypeKind.DOUBLE,
-                    ci.TypeKind.LONGDOUBLE):
-                add(cursor, "fp-accum-parallel",
-                    "floating-point compound assignment inside a "
-                    "parallel_for body")
-        for kid in cursor.get_children():
-            walk(kid, in_parallel_lambda)
-
-    def walk_lambda_scan(cursor):
-        if cursor.kind == ci.CursorKind.LAMBDA_EXPR:
-            walk(cursor, True)
-            return
-        for kid in cursor.get_children():
-            walk_lambda_scan(kid)
-
-    walk(tu.cursor, False)
-    return findings
-
-
 # ---------------------------------------------------------------- cli
 def gather_paths(paths):
     files = []
@@ -489,29 +386,12 @@ def main(argv=None):
                     "(see the module docstring)")
     parser.add_argument("paths", nargs="+",
                         help="source files or directories to lint")
-    parser.add_argument("--engine", choices=("auto", "libclang", "textual"),
-                        default="auto")
-    parser.add_argument("--libclang", default=None,
-                        help="explicit libclang shared-library path "
-                             "(libclang engine)")
     parser.add_argument("--include", "-I", action="append", default=[],
-                        help="include dir for the libclang engine")
-    parser.add_argument("--std", default="c++20")
+                        help="extra root for resolving quoted #includes")
     parser.add_argument("--expect-violation", action="store_true",
                         help="invert: succeed only if an unallowed "
                              "finding exists (negative fixture test)")
     args = parser.parse_args(argv)
-
-    engine = args.engine
-    if engine == "auto":
-        engine = "libclang" if libclang_available() else "textual"
-        if engine == "textual":
-            print("order_lint: python clang bindings not importable; "
-                  "using the textual engine (CI pins libclang for the "
-                  "precise one)", file=sys.stderr)
-    elif engine == "libclang" and not libclang_available():
-        fail("order_lint: --engine libclang but python clang bindings "
-             "are not importable (install python3-clang + libclang)")
 
     files = gather_paths(args.paths)
     raw = {}
@@ -526,19 +406,9 @@ def main(argv=None):
 
     closures = include_closures(
         raw, [p for p in args.paths if os.path.isdir(p)] + args.include)
-    clang_args = ["-std=" + args.std, "-xc++"] + \
-        [f"-I{d}" for d in args.include]
 
     findings = []
     for path in files:
-        if engine == "libclang":
-            try:
-                findings += lint_file_libclang(path, clang_args,
-                                               args.libclang)
-                continue
-            except Exception as err:  # unparseable: degrade per file
-                print(f"order_lint: libclang failed on {path} ({err}); "
-                      "textual fallback for this file", file=sys.stderr)
         scope = {p: codes[p] for p in closures[path]}
         names = collect_aliases(scope)
         idents = collect_idents(scope, names)
@@ -555,7 +425,7 @@ def main(argv=None):
     for f in flagged:
         print(f"{f.path}:{f.line}: [{f.check}] {f.message}",
               file=sys.stderr)
-    print(f"order_lint[{engine}]: {len(files)} file(s), "
+    print(f"order_lint: {len(files)} file(s), "
           f"{len(flagged)} finding(s), {len(allowed)} allowlisted "
           f"site(s)")
 

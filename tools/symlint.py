@@ -1,20 +1,16 @@
 #!/usr/bin/env python3
 """Multi-policy static symbol lint over the machine-code call graph.
 
-One engine, several *policies*. PR 6 introduced a single-purpose lint
-(tools/noalloc_lint.py) proving the steady-state scan path reaches no
-allocator; this module factors its objdump call-graph walker into a
-reusable engine and turns "which leaf symbols are forbidden from which
-roots, and which nodes are cut from the walk" into declarative policy
-records. The repo's reproducibility contract — a longitudinal
-campaign's daily outputs are byte-identical for any thread count, and
-(ROADMAP items 2-3) soon across snapshot/restore and under concurrent
-reader load — is thereby proven on every build along four axes:
+One engine, several *policies*: one objdump call-graph walker, with
+"which leaf symbols are forbidden from which roots, and which nodes
+are cut from the walk" as declarative policy records. The repo's
+reproducibility contract — a longitudinal campaign's daily outputs
+are byte-identical for any thread count — is thereby proven on every
+build along four axes:
 
   noalloc          the warm day loop reaches no operator new / malloc
-                   outside the named capacity-elastic growth members
-                   (the PR 6 policy, unchanged; tools/noalloc_lint.py
-                   remains as a thin CLI wrapper).
+                   outside the named capacity-elastic growth members;
+                   it needs no hatch beyond them.
   nodeterminism    the day loop reaches no wall clock, no entropy
                    source, no environment read, no locale machinery —
                    nothing whose value varies across runs, hosts, or
@@ -76,8 +72,8 @@ traversal:
 
 Per-invocation --allow entries are the *policy hatches* and must be
 declared next to the roots in CMakeLists with a justification comment
-(no blanket hatches): Pipeline's cold rebuild paths for noalloc/
-nodeterminism/noio, Observability::now_ns for nodeterminism.
+(no blanket hatches). The only one is Observability::now_ns for
+nodeterminism.
 
 Known limits: indirect calls (ResultSink / TelemetrySink virtual
 dispatch, function pointers) are not walked — sinks are consumer-
