@@ -12,9 +12,9 @@
 // The daily protocol scan runs on the resolved scan engine: a
 // persistent per-row resolution cache extended by each DayDelta
 // answers every probe without universe lookups.
-// tests/test_day_oracle.cpp checks every day's state against
-// brute-force oracles: the full candidate recount, a linear alias
-// match over the detector's verdicts, and NetworkSim::probe.
+// tests/day_oracle.h checks every day's state against brute-force
+// oracles: the full candidate recount, a linear alias match over the
+// detector's verdicts, and NetworkSim::probe.
 //
 // Scan results land in one pipeline-owned scan::ScanFrame reused
 // across days (zero steady-state allocations in the scan path);

@@ -27,7 +27,7 @@
 // scalar path's exact rounding sequence. tests/test_probe_kernel.cpp
 // asserts mask-for-mask equality with the scalar probe_resolved and
 // with NetworkSim::probe across address classes, protocols, days, and
-// seq; tests/test_day_oracle.cpp checks whole campaigns against
+// seq; tests/test_scan_equivalence.cpp checks whole campaigns against
 // NetworkSim::probe for seeds x thread counts.
 
 #include <cstddef>

@@ -13,7 +13,7 @@
 // ProbeSchedule picks protocols, probe budget, retry policy, and
 // interleave. A scanned row's protocol bit is set iff NetworkSim::probe
 // answers at some attempt seq 0..retries, for any thread count
-// (tests/test_day_oracle.cpp checks every day of a campaign,
+// (tests/test_scan_equivalence.cpp checks every day of a campaign,
 // tests/test_scan_engine.cpp the retry schedules).
 
 #include <cstdint>

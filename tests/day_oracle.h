@@ -18,15 +18,23 @@
 //    rows x protocol count.
 //
 // The streamed scan rows must also mirror the frame row for row.
+//
+// OracleCampaign holds the mid-campaign scenario both day-loop tests
+// sweep (test_pipeline_incremental, test_scan_equivalence).
 
 #include <cstdint>
+#include <cstdio>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "engine/engine.h"
 #include "hitlist/pipeline.h"
 #include "ipv6/prefix.h"
 #include "net/protocol.h"
 #include "netsim/network_sim.h"
+#include "netsim/universe.h"
+#include "scan/probe_schedule.h"
 #include "scan/scan_frame.h"
 #include "test_main.h"
 
@@ -109,6 +117,63 @@ inline hitlist::Pipeline::DayReport run_checked_day(hitlist::Pipeline& pipeline,
   }
   CHECK_EQ(stream_mismatches, 0u);
   return report;
+}
+
+/// A pipeline over a fresh seed-`seed` universe (scale 0.05, 300 tail
+/// ASes) with a one-day APD window, so prefixes age out in-run, and
+/// the reference NetworkSim its oracles probe.
+struct OracleCampaign {
+  static constexpr int kFirstDay = 150;  // mid-campaign: growth + flicker
+  static constexpr int kDays = 10;
+
+  engine::Engine eng;
+  netsim::Universe universe;
+  netsim::NetworkSim sim;
+  netsim::NetworkSim reference;
+  hitlist::Pipeline pipeline;
+
+  OracleCampaign(std::uint64_t seed, unsigned threads,
+                 scan::ProbeSchedule schedule = {})
+      : eng(engine::EngineOptions{threads}),
+        universe(universe_params(seed), &eng),
+        sim(universe),
+        reference(universe),
+        pipeline(universe, sim, pipeline_options(std::move(schedule)), &eng) {}
+
+  /// Run `day` and check it against the oracles.
+  hitlist::Pipeline::DayReport run_day(int day) {
+    return run_checked_day(pipeline, sim, reference, day);
+  }
+
+ private:
+  static netsim::UniverseParams universe_params(std::uint64_t seed) {
+    netsim::UniverseParams params;
+    params.seed = seed;
+    params.scale = 0.05;
+    params.tail_as_count = 300;
+    return params;
+  }
+  static hitlist::PipelineOptions pipeline_options(
+      scan::ProbeSchedule schedule) {
+    hitlist::PipelineOptions options;
+    options.apd.window_days = 1;
+    options.schedule = std::move(schedule);
+    return options;
+  }
+};
+
+/// Check two fingerprints are byte-identical; on a mismatch, report
+/// the first differing byte under `label`.
+inline void check_identical(const std::string& base, const std::string& other,
+                            const std::string& label) {
+  const bool identical = other == base;
+  CHECK(identical);
+  if (identical) return;
+  std::size_t at = 0;
+  while (at < base.size() && at < other.size() && base[at] == other[at]) {
+    ++at;
+  }
+  std::fprintf(stderr, "  %s diverges at byte %zu\n", label.c_str(), at);
 }
 
 }  // namespace v6h::test

@@ -2,7 +2,7 @@
 // loop, never steer it, and never touch the heap on a warm day.
 //
 //  1. Determinism: for seeds {1,2,3} x threads {1,4,8}, the DayReport
-//     fingerprint (the test_day_oracle idiom) is byte-identical
+//     fingerprint (the test_scan_equivalence idiom) is byte-identical
 //     with full observability (metrics + tracing) and with it off, and
 //     every metric registered `deterministic` merges to the same value
 //     for every thread count.

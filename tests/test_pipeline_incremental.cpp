@@ -1,11 +1,11 @@
-// The day-loop contract, checked per day: for seeds {1,2,3} x threads
-// {1,4} x 10 mid-campaign days, every day of the delta-driven pipeline
-// must pass the brute-force oracles of day_oracle.h (full candidate
-// recount, linear alias match, NetworkSim::probe masks, exact probe
+// The incremental contract of the delta-driven day loop: for seeds
+// {1,2,3} x threads {1,4} x 10 mid-campaign days, every day must pass
+// the brute-force oracles of day_oracle.h (full candidate recount,
+// linear alias match, NetworkSim::probe masks, exact probe
 // accounting). On top of that the DayDelta must account for each
 // aliased-set transition, a prefix must age out of the sliding window
-// in-run, the resolution cache must cover rotating rows, and the
-// DayReport sequence must be byte-identical for every thread count.
+// in-run, and the DayReport sequence must be byte-identical for every
+// thread count.
 //
 // Accepts `--threads N` (repeatable) for extra thread counts.
 
@@ -14,19 +14,12 @@
 #include <vector>
 
 #include "day_oracle.h"
-#include "engine/engine.h"
-#include "hitlist/pipeline.h"
 #include "net/protocol.h"
-#include "netsim/network_sim.h"
-#include "netsim/universe.h"
 #include "test_main.h"
 
 using namespace v6h;
 
 namespace {
-
-constexpr int kDays = 10;
-constexpr int kFirstDay = 150;  // mid-campaign: real growth + flicker
 
 struct RunResult {
   std::string fingerprint;  // byte-exact DayReport sequence
@@ -35,20 +28,8 @@ struct RunResult {
 };
 
 RunResult run_pipeline(std::uint64_t seed, unsigned threads) {
-  engine::EngineOptions engine_options;
-  engine_options.threads = threads;
-  engine::Engine eng(engine_options);
-
-  netsim::UniverseParams params;
-  params.seed = seed;
-  params.scale = 0.05;
-  params.tail_as_count = 300;
-  const netsim::Universe universe(params, &eng);
-  netsim::NetworkSim sim(universe);
-  netsim::NetworkSim reference(universe);
-  hitlist::PipelineOptions options;
-  options.apd.window_days = 1;  // short window: age-outs happen in-run
-  hitlist::Pipeline pipeline(universe, sim, options, &eng);
+  test::OracleCampaign campaign(seed, threads);
+  const hitlist::Pipeline& pipeline = campaign.pipeline;
 
   RunResult result;
   std::string& fp = result.fingerprint;
@@ -57,8 +38,9 @@ RunResult run_pipeline(std::uint64_t seed, unsigned threads) {
     fp += std::to_string(value);
   };
   std::size_t previous_aliased = 0;
-  for (int day = kFirstDay; day < kFirstDay + kDays; ++day) {
-    const auto report = test::run_checked_day(pipeline, sim, reference, day);
+  for (int day = campaign.kFirstDay;
+       day < campaign.kFirstDay + campaign.kDays; ++day) {
+    const auto report = campaign.run_day(day);
     field("\nday ", static_cast<std::uint64_t>(day));
     field(" new=", report.new_addresses);
     field(" aliased=", report.aliased_prefixes);
@@ -84,11 +66,7 @@ RunResult run_pipeline(std::uint64_t seed, unsigned threads) {
     result.aged_out_days += !delta.became_clean.empty();
     previous_aliased = report.aliased_prefixes;
   }
-  // The resolution cache must cover every row and must actually have
-  // cached rotating rows, or the epoch-refresh machinery went untested.
-  CHECK(pipeline.scan_engine().table().rotating_rows() > 0);
-  CHECK_EQ(pipeline.scan_engine().table().size(), pipeline.store().size());
-  result.probes = sim.probes_sent();
+  result.probes = campaign.sim.probes_sent();
   return result;
 }
 
@@ -103,18 +81,9 @@ void run_tests(const std::vector<unsigned>& thread_counts) {
     for (std::size_t t = 1; t < thread_counts.size(); ++t) {
       const RunResult other = run_pipeline(seed, thread_counts[t]);
       CHECK_EQ(other.probes, base.probes);
-      const bool identical = other.fingerprint == base.fingerprint;
-      CHECK(identical);
-      if (!identical) {
-        std::size_t at = 0;
-        while (at < base.fingerprint.size() && at < other.fingerprint.size() &&
-               base.fingerprint[at] == other.fingerprint[at]) {
-          ++at;
-        }
-        std::fprintf(stderr, "  seed %llu threads %u diverges at byte %zu\n",
-                     static_cast<unsigned long long>(seed), thread_counts[t],
-                     at);
-      }
+      test::check_identical(base.fingerprint, other.fingerprint,
+                            "seed " + std::to_string(seed) + " threads " +
+                                std::to_string(thread_counts[t]));
     }
     std::printf("seed %llu: %zu-byte day sequence, %llu probes, "
                 "%u age-out days\n",

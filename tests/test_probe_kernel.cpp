@@ -6,8 +6,9 @@
 // space, carve-out islands, rotating addresses, unrouted space),
 // every protocol, across days and seq values, for batch shapes that
 // cross the kernel's internal tile boundary and for sparse row
-// subsets. Whole campaigns are covered by tests/test_day_oracle.cpp,
-// whose every scanned mask must equal NetworkSim::probe.
+// subsets. Whole campaigns are covered by
+// tests/test_scan_equivalence.cpp, whose every scanned mask must equal
+// NetworkSim::probe.
 
 #include <vector>
 

@@ -1,18 +1,12 @@
-// The scan-engine pipeline contract (ISSUE 4, extended by ISSUE 5):
-// for seeds {1,2,3} x threads {1,4,8} x 10 days, the pipeline routed
-// through the resolved scan engine (persistent per-row resolution
-// cache, batched probing, engine-routed APD fan-out) must produce
-// DayReport sequences byte-identical to the legacy per-probe path,
-// and identical probe counts. Days start mid-campaign so the sweep
-// crosses rotation epochs (ISP privacy addressing) while cached rows
-// age.
-//
-// Since ISSUE 5 the day's results live in the reusable ScanFrame; the
-// fingerprint is built from the frame-derived ScanFrame::to_report()
-// adapter, so byte-equality across the legacy and resolved paths is
-// exactly the "to_report() equals the legacy ScanReport" contract.
-// Each day also cross-checks the adapter against the frame columns
-// and against the rows a ResultSink streamed.
+// The scan contract of the day loop: for seeds {1,2,3} x threads
+// {1,4} x 10 mid-campaign days (crossing rotation epochs while cached
+// rows age), every scanned mask must equal NetworkSim::probe and the
+// streamed rows must mirror the frame (day_oracle.h checks both every
+// day). The scan results must be byte-identical for every thread
+// count and for both probe interleaves, which change execution order
+// only; a protocol-subset schedule must pass the same oracles. The
+// resolution cache must cover every row and must have cached rotating
+// rows, or the epoch-refresh machinery went untested.
 //
 // Accepts `--threads N` (repeatable) for extra thread counts.
 
@@ -20,52 +14,25 @@
 #include <string>
 #include <vector>
 
-#include "engine/engine.h"
-#include "hitlist/pipeline.h"
+#include "day_oracle.h"
 #include "net/protocol.h"
-#include "netsim/network_sim.h"
-#include "netsim/universe.h"
+#include "scan/probe_schedule.h"
 #include "test_main.h"
 
 using namespace v6h;
 
 namespace {
 
-constexpr int kDays = 10;
-constexpr int kFirstDay = 150;  // mid-campaign: real growth + flicker
+using Interleave = scan::ProbeSchedule::Interleave;
 
 struct RunResult {
-  std::string fingerprint;  // byte-exact DayReport sequence
+  std::string fingerprint;  // byte-exact per-day scan results
   std::uint64_t probes = 0;
 };
 
-// Streaming witness: records what on_target delivered so the frame,
-// the adapter report, and the sink stream can be checked against each
-// other.
-struct RecordingSink final : scan::ResultSink {
-  std::vector<std::pair<std::uint32_t, net::ProtocolMask>> rows;
-  std::size_t day_ends = 0;
-  void on_target(std::uint32_t row, net::ProtocolMask mask) override {
-    rows.emplace_back(row, mask);
-  }
-  void on_day_end(const scan::ScanFrame&) override { ++day_ends; }
-};
-
-RunResult run_pipeline(std::uint64_t seed, unsigned threads, bool legacy_scan) {
-  engine::EngineOptions engine_options;
-  engine_options.threads = threads;
-  engine::Engine eng(engine_options);
-
-  netsim::UniverseParams params;
-  params.seed = seed;
-  params.scale = 0.05;
-  params.tail_as_count = 300;
-  const netsim::Universe universe(params, &eng);
-  netsim::NetworkSim sim(universe);
-  hitlist::PipelineOptions options;
-  options.apd.window_days = 1;  // short window: alias flips happen in-run
-  options.legacy_scan = legacy_scan;
-  hitlist::Pipeline pipeline(universe, sim, options, &eng);
+RunResult run_scan(std::uint64_t seed, unsigned threads,
+                   const scan::ProbeSchedule& schedule) {
+  test::OracleCampaign campaign(seed, threads, schedule);
 
   RunResult result;
   std::string& fp = result.fingerprint;
@@ -73,89 +40,84 @@ RunResult run_pipeline(std::uint64_t seed, unsigned threads, bool legacy_scan) {
     fp += label;
     fp += std::to_string(value);
   };
-  for (int day = kFirstDay; day < kFirstDay + kDays; ++day) {
-    RecordingSink sink;
-    const auto report = pipeline.run_day(day, &sink);
-    field("\nday ", static_cast<std::uint64_t>(day));
-    field(" new=", report.new_addresses);
-    field(" aliased=", report.aliased_prefixes);
-    field(" scanned=", report.scanned_targets);
-    // Fingerprint through the materialized adapter: byte-equality of
-    // this sequence across the legacy and resolved paths is the
-    // to_report() contract.
-    const probe::ScanReport materialized = report.scan().to_report();
-    for (const auto protocol : net::kAllProtocols) {
-      field(" ", materialized.responsive_count(protocol));
-    }
-    for (const auto& target : materialized.targets) {
-      fp += "\n  ";
-      fp += target.address.to_string();
-      field("/", target.responded_mask);
-    }
-    // Adapter <-> frame <-> sink consistency for the same day.
+  for (int day = campaign.kFirstDay;
+       day < campaign.kFirstDay + campaign.kDays; ++day) {
+    const auto report = campaign.run_day(day);
     const auto& frame = report.scan();
-    CHECK_EQ(materialized.targets.size(), frame.rows().size());
-    CHECK_EQ(materialized.responsive_any_count(),
-             frame.responsive_any_count());
-    CHECK_EQ(sink.rows.size(), frame.rows().size());
-    CHECK_EQ(sink.day_ends, 1u);
-    for (std::size_t k = 0; k < frame.rows().size(); ++k) {
-      const std::uint32_t row = frame.rows()[k];
-      CHECK(sink.rows[k].first == row);
-      CHECK_EQ(sink.rows[k].second, frame.mask_of_row(row));
-      CHECK(materialized.targets[k].address == frame.address_of_row(row));
-      CHECK_EQ(materialized.targets[k].responded_mask, frame.mask_of_row(row));
+    field("\nday ", static_cast<std::uint64_t>(day));
+    field(" scanned=", report.scanned_targets);
+    field(" any=", frame.responsive_any_count());
+    for (const auto protocol : net::kAllProtocols) {
+      field(" ", frame.responsive_count(protocol));
+    }
+    for (const auto row : frame.rows()) {
+      fp += "\n  ";
+      fp += frame.address_of_row(row).to_string();
+      field("/", frame.mask_of_row(row));
     }
   }
-  // The engine path must actually have cached rotating rows, or the
-  // epoch-refresh machinery went untested.
-  if (!legacy_scan) {
-    CHECK(pipeline.scan_engine().table().rotating_rows() > 0);
-    CHECK_EQ(pipeline.scan_engine().table().size(), pipeline.store().size());
-  }
-  result.probes = sim.probes_sent();
+  const auto& table = campaign.pipeline.scan_engine().table();
+  CHECK(table.rotating_rows() > 0);
+  CHECK_EQ(table.size(), campaign.pipeline.store().size());
+  result.probes = campaign.sim.probes_sent();
   return result;
 }
 
+scan::ProbeSchedule schedule_of(std::vector<net::Protocol> protocols,
+                                Interleave interleave) {
+  scan::ProbeSchedule schedule;
+  schedule.protocols = std::move(protocols);
+  schedule.interleave = interleave;
+  return schedule;
+}
+
 void run_tests(const std::vector<unsigned>& thread_counts) {
+  const std::vector<net::Protocol> all(net::kAllProtocols.begin(),
+                                       net::kAllProtocols.end());
+  const std::vector<net::Protocol> subset{net::Protocol::kTcp443,
+                                          net::Protocol::kUdp53};
+  std::vector<std::string> seed_fingerprints;
   for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
-    const RunResult base = run_pipeline(seed, 1, /*legacy_scan=*/true);
-    CHECK(!base.fingerprint.empty());
-    CHECK(base.probes > 0);
-    for (const unsigned threads : thread_counts) {
-      for (const bool legacy : {false, true}) {
-        if (threads == 1 && legacy) continue;  // that is `base`
-        const RunResult other = run_pipeline(seed, threads, legacy);
-        CHECK_EQ(other.probes, base.probes);
-        const bool identical = other.fingerprint == base.fingerprint;
-        CHECK(identical);
-        if (!identical) {
-          std::size_t at = 0;
-          while (at < base.fingerprint.size() &&
-                 at < other.fingerprint.size() &&
-                 base.fingerprint[at] == other.fingerprint[at]) {
-            ++at;
+    for (const auto& protocols : {all, subset}) {
+      const RunResult base =
+          run_scan(seed, thread_counts.front(),
+                   schedule_of(protocols, Interleave::kProtocolMajor));
+      CHECK(!base.fingerprint.empty());
+      CHECK(base.probes > 0);
+      for (const unsigned threads : thread_counts) {
+        for (const Interleave interleave :
+             {Interleave::kProtocolMajor, Interleave::kTargetMajor}) {
+          if (threads == thread_counts.front() &&
+              interleave == Interleave::kProtocolMajor) {
+            continue;  // that is `base`
           }
-          std::fprintf(
-              stderr,
-              "  seed %llu threads %u legacy %d diverges at byte %zu\n",
-              static_cast<unsigned long long>(seed), threads, legacy, at);
+          const RunResult other =
+              run_scan(seed, threads, schedule_of(protocols, interleave));
+          CHECK_EQ(other.probes, base.probes);
+          test::check_identical(
+              base.fingerprint, other.fingerprint,
+              "seed " + std::to_string(seed) + " protocols " +
+                  scan::protocols_to_string(protocols) + " threads " +
+                  std::to_string(threads) + " interleave " +
+                  std::to_string(static_cast<int>(interleave)));
         }
       }
+      std::printf("seed %llu %s: %zu-byte scan sequence, %llu probes\n",
+                  static_cast<unsigned long long>(seed),
+                  scan::protocols_to_string(protocols).c_str(),
+                  base.fingerprint.size(),
+                  static_cast<unsigned long long>(base.probes));
+      if (protocols == all) seed_fingerprints.push_back(base.fingerprint);
     }
-    std::printf("seed %llu: %zu-byte day sequence, %llu probes\n",
-                static_cast<unsigned long long>(seed), base.fingerprint.size(),
-                static_cast<unsigned long long>(base.probes));
   }
   // Distinct seeds must not collide — guards a constant fingerprint.
-  CHECK(run_pipeline(1, 1, true).fingerprint !=
-        run_pipeline(2, 1, true).fingerprint);
+  CHECK(seed_fingerprints[0] != seed_fingerprints[1]);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  run_tests(v6h::test::thread_counts_from_cli(argc, argv, {1, 4, 8}));
+  run_tests(v6h::test::thread_counts_from_cli(argc, argv, {1, 4}));
   std::printf("%d checks, %d failures\n", v6h::test::checks,
               v6h::test::failures);
   return v6h::test::failures == 0 ? 0 : 1;
