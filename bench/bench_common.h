@@ -71,8 +71,8 @@ inline long long parse_int64(const char* flag, const char* text) {
   return value;
 }
 
-/// Comma-separated protocol names ("icmp,tcp80,..."); any unknown or
-/// empty name is a CLI-contract violation (exit 2).
+/// Comma-separated protocol names ("icmp,tcp80,..."); any unknown,
+/// empty or repeated name is a CLI-contract violation (exit 2).
 inline std::vector<net::Protocol> parse_protocols(const char* flag,
                                                   const char* text) {
   std::vector<net::Protocol> out;
@@ -88,6 +88,11 @@ inline std::vector<net::Protocol> parse_protocols(const char* flag,
       std::fprintf(stderr,
                    "unknown protocol '%.*s' for %s (valid: icmp, tcp80, "
                    "tcp443, udp53, udp443)\n",
+                   static_cast<int>(name.size()), name.data(), flag);
+      std::exit(2);
+    }
+    if (std::find(out.begin(), out.end(), *protocol) != out.end()) {
+      std::fprintf(stderr, "duplicate protocol '%.*s' for %s\n",
                    static_cast<int>(name.size()), name.data(), flag);
       std::exit(2);
     }

@@ -47,8 +47,8 @@ class Observability;
 namespace v6h::hitlist {
 
 struct PipelineOptions {
-  /// The daily scan schedule: protocol set, probe interleave, budget,
-  /// and retry policy. The default schedule reproduces the historical
+  /// The daily scan schedule: protocol set, budget, and retry
+  /// policy. The default schedule reproduces the historical
   /// all-protocol scan byte-for-byte.
   scan::ProbeSchedule schedule;
   apd::ApdOptions apd;

@@ -15,40 +15,24 @@ constexpr std::uint8_t kWscales[] = {0, 2, 7, 8, 14};
 constexpr std::uint16_t kMsses[] = {1220, 1380, 1440, 8940};
 constexpr std::uint16_t kWsizes[] = {14600, 28800, 29200, 64240, 65535};
 
-// The static half of the machine image: every field probe() derives
-// from the machine identity alone. The timestamp clock is kept as
-// (hz, offset) so tsval at time t is one multiply-add; hz == 0 means
-// timestamps disabled. Shared by probe() and the resolution cache so
-// the two can never drift apart.
+// The machine image of a responding probe: every field probe()
+// derives from the machine identity alone, plus the timestamp clock
+// read at probe time `t` (tsval is one multiply-add of a per-machine
+// rate and offset; no clock when `timestamps` is false).
 void fill_machine_image(std::uint64_t machine, bool timestamps,
-                        ResolvedTarget* out) {
+                        std::uint64_t t, ProbeResult* out) {
   out->ittl = kIttls[hash64(machine, 0x17) % 5];
   out->wscale = kWscales[hash64(machine, 0x2C) % 5];
   out->mss = kMsses[hash64(machine, 0x35) % 4];
   out->wsize = kWsizes[hash64(machine, 0x47) % 5];
   out->options_id = static_cast<std::uint8_t>(hash64(machine, 0x59) % 6);
+  out->has_timestamp = timestamps;
   if (timestamps) {
     static constexpr std::uint32_t kHz[] = {100, 250, 1000};
-    out->ts_hz = kHz[hash64(machine, 0x63) % 3];
-    out->ts_offset = static_cast<std::uint32_t>(hash64(machine, 0x71));
-  } else {
-    out->ts_hz = 0;
-    out->ts_offset = 0;
+    const std::uint32_t hz = kHz[hash64(machine, 0x63) % 3];
+    const auto offset = static_cast<std::uint32_t>(hash64(machine, 0x71));
+    out->tsval = offset + hz * static_cast<std::uint32_t>(t);
   }
-}
-
-// Copy a cached image into a ProbeResult at probe time `t`.
-void emit_machine(const ResolvedTarget& r, std::uint64_t t, ProbeResult* out) {
-  out->ittl = r.ittl;
-  out->wscale = r.wscale;
-  out->mss = r.mss;
-  out->wsize = r.wsize;
-  out->options_id = r.options_id;
-  out->has_timestamp = r.ts_hz != 0;
-  if (r.ts_hz != 0) {
-    out->tsval = r.ts_offset + r.ts_hz * static_cast<std::uint32_t>(t);
-  }
-  out->ttl = r.ttl;
 }
 
 // Per-day transient availability shared across protocols so that
@@ -87,9 +71,11 @@ net::ProtocolMask host_service_mask(const Zone& zone, std::uint32_t slot) {
   return mask;
 }
 
-// The day/seq-dependent half of probe(): does a resolved row answer
-// this particular probe? The caller has already checked the service
-// mask, so `zp` is valid and the row is aliased or a live slot.
+// The day/seq-dependent half of probe(): does the target answer this
+// particular probe? The caller has already checked the service mask,
+// so `zp` is valid and the target is aliased or a live slot. The scan
+// kernel (probe_kernel.cpp) is the branch-free columnar form of this
+// predicate.
 bool resolved_responds(const ZoneProbeParams& zp, std::uint8_t flags,
                        std::uint32_t slot, std::uint64_t addr_hash,
                        net::Protocol protocol, int day, unsigned seq) {
@@ -154,7 +140,6 @@ NetworkSim::NetworkSim(const Universe& universe) : universe_(&universe) {
 
 ResolvedTarget NetworkSim::resolve(const Address& a, int day) const {
   ResolvedTarget r;
-  r.addr_hash = hash64(a.hi, a.lo, 0xAD);
   const Zone* zone = universe_->zone_at(a);
   if (zone == nullptr) return r;  // unrouted: service_mask 0, never answers
   r.zone = static_cast<std::uint32_t>(zone - universe_->zones().data());
@@ -163,20 +148,9 @@ ResolvedTarget NetworkSim::resolve(const Address& a, int day) const {
   const bool aliased_here =
       config.aliased && !(config.carveout && config.carveout->contains(a));
   if (aliased_here) {
-    r.flags |= ResolvedTarget::kAliased;
+    r.flags = ResolvedTarget::kAliased;
+    r.addr_hash = hash64(a.hi, a.lo, 0xAD);
     r.service_mask = config.machine_service;
-    fill_machine_image(zone->key(),
-                       config.uniformity != UniformityMode::kUniformNoTs, &r);
-    if (config.proxy_wsize) {
-      // A TCP proxy terminates each flow with its own window.
-      r.wsize = static_cast<std::uint16_t>(
-          14600 + 1460 * (hash64(r.addr_hash, 0x90) % 8));
-    }
-    // Path length varies behind ~30 % of aliased prefixes (the raw-TTL
-    // inconsistency the iTTL normalization removes).
-    unsigned hops = 6 + static_cast<unsigned>(hash64(zone->key(), 0xB0) % 18);
-    if (hash_unit(zone->key(), 0xB1) < 0.3 && (r.addr_hash & 1) != 0) ++hops;
-    r.ttl = static_cast<std::uint8_t>(r.ittl - hops);
     return r;
   }
 
@@ -185,29 +159,17 @@ ResolvedTarget NetworkSim::resolve(const Address& a, int day) const {
   r.epoch = zone->epoch(day);
   const auto slot = zone->slot_of(a, day);
   if (!slot || *slot >= config.host_count) return r;  // dead address
-  r.flags |= ResolvedTarget::kLiveSlot;
   r.slot = *slot;
   r.service_mask = host_service_mask(*zone, *slot);
-  const bool uniform = config.uniformity != UniformityMode::kDiverse;
-  const std::uint64_t machine =
-      uniform ? zone->key() : hash64(zone->key(), *slot, 0x3A);
-  fill_machine_image(machine, config.uniformity != UniformityMode::kUniformNoTs,
-                     &r);
-  unsigned hops = 6 + static_cast<unsigned>(hash64(zone->key(), 0xB0) % 18);
-  if (!uniform) hops += static_cast<unsigned>(hash64(zone->key(), *slot, 0xB2) % 3);
-  r.ttl = static_cast<std::uint8_t>(r.ittl - hops);
   return r;
 }
 
 ProbeResult NetworkSim::probe(const Address& a, net::Protocol protocol, int day,
                               unsigned seq) {
-  // The reference path: re-derive everything per call, filling the
-  // machine image only after the probe is known to answer (the
-  // historical cost profile the resolved path is benchmarked
-  // against). The predicates and the image generator are shared with
-  // resolve()/probe_resolved, so the two paths cannot drift apart.
-  // All probes_sent_ updates are relaxed: pure count, no data
-  // published through it (invariant at the declaration).
+  // Re-derive everything per call, deriving the machine image only
+  // after the probe is known to answer. All probes_sent_ updates are
+  // relaxed: pure count, no data published through it (invariant at
+  // the declaration).
   probes_sent_.fetch_add(1, std::memory_order_relaxed);
   ProbeResult out;
   const Zone* zone = universe_->zone_at(a);
@@ -215,6 +177,7 @@ ProbeResult NetworkSim::probe(const Address& a, net::Protocol protocol, int day,
   const ZoneConfig& config = zone->config();
   const std::uint64_t addr_hash = hash64(a.hi, a.lo, 0xAD);
   const std::uint64_t t = probe_time(day, seq);
+  const bool timestamps = config.uniformity != UniformityMode::kUniformNoTs;
   const ZoneProbeParams& zp =
       zone_params_[static_cast<std::size_t>(zone - universe_->zones().data())];
 
@@ -227,21 +190,17 @@ ProbeResult NetworkSim::probe(const Address& a, net::Protocol protocol, int day,
       return out;
     }
     out.responded = true;
-    ResolvedTarget image;
-    fill_machine_image(zone->key(),
-                       config.uniformity != UniformityMode::kUniformNoTs,
-                       &image);
+    fill_machine_image(zone->key(), timestamps, t, &out);
     if (config.proxy_wsize) {
       // A TCP proxy terminates each flow with its own window.
-      image.wsize = static_cast<std::uint16_t>(
+      out.wsize = static_cast<std::uint16_t>(
           14600 + 1460 * (hash64(addr_hash, 0x90) % 8));
     }
     // Path length varies behind ~30 % of aliased prefixes (the raw-TTL
     // inconsistency the iTTL normalization removes).
     unsigned hops = 6 + static_cast<unsigned>(hash64(zone->key(), 0xB0) % 18);
     if (hash_unit(zone->key(), 0xB1) < 0.3 && (addr_hash & 1) != 0) ++hops;
-    image.ttl = static_cast<std::uint8_t>(image.ittl - hops);
-    emit_machine(image, t, &out);
+    out.ttl = static_cast<std::uint8_t>(out.ittl - hops);
     return out;
   }
 
@@ -255,63 +214,11 @@ ProbeResult NetworkSim::probe(const Address& a, net::Protocol protocol, int day,
   const bool uniform = config.uniformity != UniformityMode::kDiverse;
   const std::uint64_t machine =
       uniform ? zone->key() : hash64(zone->key(), *slot, 0x3A);
-  ResolvedTarget image;
-  fill_machine_image(machine, config.uniformity != UniformityMode::kUniformNoTs,
-                     &image);
+  fill_machine_image(machine, timestamps, t, &out);
   unsigned hops = 6 + static_cast<unsigned>(hash64(zone->key(), 0xB0) % 18);
   if (!uniform) hops += static_cast<unsigned>(hash64(zone->key(), *slot, 0xB2) % 3);
-  image.ttl = static_cast<std::uint8_t>(image.ittl - hops);
-  emit_machine(image, t, &out);
+  out.ttl = static_cast<std::uint8_t>(out.ittl - hops);
   return out;
-}
-
-ProbeResult NetworkSim::probe_resolved(const ResolvedTarget& r,
-                                       net::Protocol protocol, int day,
-                                       unsigned seq) {
-  probes_sent_.fetch_add(1, std::memory_order_relaxed);
-  ProbeResult out;
-  if (!net::responds_to(r.service_mask, protocol)) return out;
-  const ZoneProbeParams& zp = zone_params_[r.zone];
-  if (!resolved_responds(zp, r.flags, r.slot, r.addr_hash, protocol, day, seq)) {
-    return out;
-  }
-  out.responded = true;
-  emit_machine(r, probe_time(day, seq), &out);
-  return out;
-}
-
-void NetworkSim::probe_resolved(const ResolvedColumns& t,
-                                const std::uint32_t* rows, std::size_t count,
-                                net::Protocol protocol, int day, unsigned seq,
-                                ProbeResult* results) {
-  probes_sent_.fetch_add(count, std::memory_order_relaxed);
-  const ZoneProbeParams* zones = zone_params_.data();
-  const std::uint64_t time = probe_time(day, seq);
-  for (std::size_t k = 0; k < count; ++k) {
-    const std::uint32_t i = rows[k];
-    ProbeResult& out = results[k];
-    out = ProbeResult{};
-    if (!net::responds_to(t.service_mask[i], protocol)) continue;
-    const ZoneProbeParams& zp = zones[t.zone[i]];
-    const std::uint64_t addr_hash = (t.flags[i] & ResolvedTarget::kAliased)
-                                        ? t.alias_hash[t.slot[i]]
-                                        : 0;
-    if (!resolved_responds(zp, t.flags[i], t.slot[i], addr_hash, protocol, day,
-                           seq)) {
-      continue;
-    }
-    out.responded = true;
-    out.ittl = t.ittl[i];
-    out.wscale = t.wscale[i];
-    out.mss = t.mss[i];
-    out.wsize = t.wsize[i];
-    out.options_id = t.options_id[i];
-    out.has_timestamp = t.ts_hz[i] != 0;
-    if (t.ts_hz[i] != 0) {
-      out.tsval = t.ts_offset[i] + t.ts_hz[i] * static_cast<std::uint32_t>(time);
-    }
-    out.ttl = t.ttl[i];
-  }
 }
 
 void NetworkSim::probe_resolved_mask(const ResolvedColumns& t,

@@ -4,16 +4,19 @@
 // fingerprint surface (iTTL, options, wscale, MSS, wsize, timestamps)
 // the alias-resolution analyses of Section 5.4 need.
 //
-// Two probe paths share one response function:
+// Two entry points share one response predicate:
 //  - probe(): resolve the target through the universe (zone trie, slot
-//    inversion, service mask, machine image) on every call — the
-//    historical reference path.
-//  - resolve() + probe_resolved(): hoist everything that is immutable
-//    per address (per rotation epoch) into a ResolvedTarget record
-//    once, then answer each probe from the cached record plus the few
-//    genuinely day/seq-dependent hashes. Byte-identical to probe() by
-//    construction (tests/test_scan_engine.cpp), and the substrate of
-//    the scan::ScanEngine batch hot path.
+//    inversion, service mask) on every call and, when it answers,
+//    derive its machine image. The model's definition: the APD
+//    fan-out, the fingerprint analyses and the test oracles use it.
+//  - resolve() + probe_resolved_mask(): hoist what is immutable per
+//    address (per rotation epoch) into a ResolvedTarget record once,
+//    then answer each scan probe's responded bit from the cached
+//    record plus the few genuinely day/seq-dependent hashes. The scan
+//    reads only that bit, so the record carries no machine image.
+//    The bit equals probe().responded (tests/test_probe_kernel.cpp,
+//    tests/test_scan_engine.cpp); this is the scan::ScanEngine hot
+//    path.
 
 #include <atomic>
 #include <cstdint>
@@ -44,35 +47,25 @@ inline std::uint64_t probe_time(int day, unsigned seq) {
   return static_cast<std::uint64_t>(day) * 1000 + static_cast<std::uint64_t>(seq) * 10;
 }
 
-/// Everything probe() derives from the target address alone, cached
-/// once per address: the zone, the inverted host slot, the service
-/// mask, and the full machine image (timestamp clock split into
-/// hz/offset so tsval stays a per-probe multiply-add). A zero
-/// service_mask row can never respond — unrouted addresses, dead host
-/// slots, and alias carve-out members all collapse into that one
-/// cheap check. Slot-derived fields are valid for `epoch` only; zones
-/// with rotating addresses need a re-resolve when the epoch advances
+/// What the scan's responded bit needs from the target address alone,
+/// cached once per address: the zone, the inverted host slot, the
+/// service mask, and (aliased rows only) the address hash the loss
+/// roll keys on. A zero service_mask row can never respond —
+/// unrouted addresses, dead host slots, and alias carve-out members
+/// all collapse into that one cheap check. Slot-derived fields are
+/// valid for `epoch` only; zones with rotating addresses need a
+/// re-resolve when the epoch advances
 /// (scan::ResolvedTargetTable::refresh).
 struct ResolvedTarget {
   static constexpr std::uint32_t kNoZone = 0xffffffffu;
-  static constexpr std::uint8_t kAliased = 1;   // aliased space, outside carve-out
-  static constexpr std::uint8_t kLiveSlot = 2;  // honest zone, responsive slot
+  static constexpr std::uint8_t kAliased = 1;  // aliased space, outside carve-out
 
   std::uint32_t zone = kNoZone;  // index into universe().zones()
   std::uint32_t slot = 0;
-  std::uint64_t addr_hash = 0;
+  std::uint64_t addr_hash = 0;  // set for kAliased rows only
   std::int32_t epoch = 0;
   std::uint8_t flags = 0;
   std::uint8_t service_mask = 0;
-  // Cached machine image; ts_hz == 0 means no TCP timestamps.
-  std::uint8_t ittl = 0;
-  std::uint8_t wscale = 0;
-  std::uint8_t options_id = 0;
-  std::uint8_t ttl = 0;
-  std::uint16_t mss = 0;
-  std::uint16_t wsize = 0;
-  std::uint32_t ts_hz = 0;
-  std::uint32_t ts_offset = 0;
 };
 
 /// Struct-of-arrays view over a table of ResolvedTarget rows (owned by
@@ -88,14 +81,6 @@ struct ResolvedColumns {
   const std::uint64_t* alias_hash = nullptr;
   const std::uint8_t* flags = nullptr;
   const std::uint8_t* service_mask = nullptr;
-  const std::uint8_t* ittl = nullptr;
-  const std::uint8_t* wscale = nullptr;
-  const std::uint8_t* options_id = nullptr;
-  const std::uint8_t* ttl = nullptr;
-  const std::uint16_t* mss = nullptr;
-  const std::uint16_t* wsize = nullptr;
-  const std::uint32_t* ts_hz = nullptr;
-  const std::uint32_t* ts_offset = nullptr;
 };
 
 /// The per-zone scalars the day/seq-dependent probe predicates read,
@@ -122,29 +107,17 @@ class NetworkSim {
                     unsigned seq = 0);
 
   /// Resolve `a` once at `day`'s rotation epoch. Pure and
-  /// thread-safe; the record answers probes for any (day, seq) whose
-  /// epoch matches.
+  /// thread-safe; the record answers probe_resolved_mask for any
+  /// (day, seq) whose epoch matches.
   ResolvedTarget resolve(const ipv6::Address& a, int day) const;
-
-  /// Probe through a cached resolution: byte-identical ProbeResult to
-  /// probe(a, ...) for the address `r` was resolved from, at any day
-  /// within `r`'s rotation epoch.
-  ProbeResult probe_resolved(const ResolvedTarget& r, net::Protocol protocol,
-                             int day, unsigned seq = 0);
-
-  /// Batched columnar form over rows[0..count): results[k] answers
-  /// rows[k]. One relaxed counter add covers the whole span.
-  void probe_resolved(const ResolvedColumns& t, const std::uint32_t* rows,
-                      std::size_t count, net::Protocol protocol, int day,
-                      unsigned seq, ProbeResult* results);
 
   /// Scan hot path: OR `mask_of(protocol)` into masks[rows[k]] when
   /// rows[k] responds — `masks` is a row-indexed column (e.g. a
   /// scan::ScanFrame's mask column), so retries and partial sweeps
   /// scatter into the same buffer without a position remap. Touches
-  /// only the predicate columns (no machine-image fill) through the
-  /// branchless SIMD kernel (probe_kernel.h); the responded bit is
-  /// identical to probe().responded (tests/test_probe_kernel.cpp).
+  /// only the predicate columns through the branchless SIMD kernel
+  /// (probe_kernel.h); the responded bit is identical to
+  /// probe().responded (tests/test_probe_kernel.cpp).
   void probe_resolved_mask(const ResolvedColumns& t, const std::uint32_t* rows,
                            std::size_t count, net::Protocol protocol, int day,
                            unsigned seq, net::ProtocolMask* masks);
@@ -154,8 +127,6 @@ class NetworkSim {
   }
 
   const Universe& universe() const { return *universe_; }
-
-  const std::vector<ZoneProbeParams>& zone_params() const { return zone_params_; }
 
  private:
   // Shared read-only with engine workers: both fields are fully

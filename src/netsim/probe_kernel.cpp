@@ -10,7 +10,7 @@
 // lanes) and the baseline encoding, dispatched once at load time via
 // the target_clones ifunc. Both clones run the same exact integer and
 // exactly-rounded double operations, so they are bit-identical to
-// each other and to the scalar path on any CPU.
+// each other and to NetworkSim::probe's scalar predicate on any CPU.
 #if defined(__x86_64__) && defined(__GNUC__)
 #define V6H_PROBE_KERNEL_CLONES __attribute__((target_clones("avx2", "default")))
 #else

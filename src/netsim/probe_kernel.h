@@ -25,10 +25,10 @@
 // splitmix64 rounds, and the one genuinely floating-point comparison
 // (the day-dependent QUIC acceptance rate) is computed with the
 // scalar path's exact rounding sequence. tests/test_probe_kernel.cpp
-// asserts mask-for-mask equality with the scalar probe_resolved and
-// with NetworkSim::probe across address classes, protocols, days, and
-// seq; tests/test_scan_equivalence.cpp checks whole campaigns against
-// NetworkSim::probe for seeds x thread counts.
+// asserts mask-for-mask equality with NetworkSim::probe across address
+// classes, protocols, days, seq, and batch shapes;
+// tests/test_scan_equivalence.cpp checks whole campaigns against
+// NetworkSim::probe for seeds x schedules x thread counts.
 
 #include <cstddef>
 #include <cstdint>
@@ -66,7 +66,7 @@ constexpr std::uint64_t unit_threshold(double p) {
 /// The branchless sweep: for each of rows[0..count), OR
 /// mask_of(protocol) into masks[rows[k]] iff the row answers this
 /// (protocol, day, seq) probe — bit-identical to the responded bit of
-/// the scalar NetworkSim::probe_resolved.
+/// NetworkSim::probe for the address the row was resolved from.
 /// `zones` is the NetworkSim's ZoneKernelParams table.
 void probe_mask_branchless(const ResolvedColumns& t,
                            const ZoneKernelParams* zones,

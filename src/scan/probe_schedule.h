@@ -1,8 +1,9 @@
 #pragma once
 
 // Scan scheduling policy: which protocols a daily scan covers, how
-// its probes interleave, how many probes a day may spend, and whether
-// unanswered probes are retried. The default schedule reproduces the
+// many probes a day may spend, and whether unanswered probes are
+// retried. The scan sweeps one protocol at a time over every admitted
+// target (SoA batches). The default schedule reproduces the
 // historical scan exactly (all five protocols, unlimited budget, no
 // retries), so the byte-identical contract holds through it; the
 // other knobs open scan-scheduling scenarios for the benches.
@@ -18,17 +19,8 @@
 namespace v6h::scan {
 
 struct ProbeSchedule {
-  /// How probes are interleaved across the target x protocol matrix.
-  /// Pure execution order — probe responses are pure functions, so
-  /// the interleave can never change results, only memory locality.
-  enum class Interleave {
-    kProtocolMajor,  // sweep all targets per protocol (SoA batches)
-    kTargetMajor,    // finish each target across protocols first
-  };
-
   std::vector<net::Protocol> protocols{net::kAllProtocols.begin(),
                                        net::kAllProtocols.end()};
-  Interleave interleave = Interleave::kProtocolMajor;
 
   /// Daily probe budget; 0 = unlimited. Admission is worst-case (a
   /// target is admitted only if its full protocol x attempt fan-out

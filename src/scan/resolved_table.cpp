@@ -10,37 +10,7 @@ void ResolvedTargetTable::store_row(std::size_t row, const ResolvedTarget& r) {
   slot_[row] = r.slot;
   flags_[row] = r.flags;
   service_mask_[row] = r.service_mask;
-  ittl_[row] = r.ittl;
-  wscale_[row] = r.wscale;
-  options_id_[row] = r.options_id;
-  ttl_[row] = r.ttl;
-  mss_[row] = r.mss;
-  wsize_[row] = r.wsize;
-  ts_hz_[row] = r.ts_hz;
-  ts_offset_[row] = r.ts_offset;
   epoch_[row] = r.epoch;
-}
-
-netsim::ResolvedTarget ResolvedTargetTable::row(std::size_t i) const {
-  ResolvedTarget r;
-  r.zone = zone_[i];
-  if (flags_[i] & ResolvedTarget::kAliased) {
-    r.addr_hash = alias_hash_[slot_[i]];
-  } else {
-    r.slot = slot_[i];
-  }
-  r.flags = flags_[i];
-  r.service_mask = service_mask_[i];
-  r.ittl = ittl_[i];
-  r.wscale = wscale_[i];
-  r.options_id = options_id_[i];
-  r.ttl = ttl_[i];
-  r.mss = mss_[i];
-  r.wsize = wsize_[i];
-  r.ts_hz = ts_hz_[i];
-  r.ts_offset = ts_offset_[i];
-  r.epoch = epoch_[i];
-  return r;
 }
 
 void ResolvedTargetTable::reserve(std::size_t max_rows) {
@@ -48,14 +18,6 @@ void ResolvedTargetTable::reserve(std::size_t max_rows) {
   slot_.reserve(max_rows);
   flags_.reserve(max_rows);
   service_mask_.reserve(max_rows);
-  ittl_.reserve(max_rows);
-  wscale_.reserve(max_rows);
-  options_id_.reserve(max_rows);
-  ttl_.reserve(max_rows);
-  mss_.reserve(max_rows);
-  wsize_.reserve(max_rows);
-  ts_hz_.reserve(max_rows);
-  ts_offset_.reserve(max_rows);
   epoch_.reserve(max_rows);
   alias_hash_.reserve(max_rows);
   rotating_rows_.reserve(max_rows);
@@ -71,14 +33,6 @@ void ResolvedTargetTable::extend(const Address* addrs, std::size_t count,
   slot_.resize(total);
   flags_.resize(total);
   service_mask_.resize(total);
-  ittl_.resize(total);
-  wscale_.resize(total);
-  options_id_.resize(total);
-  ttl_.resize(total);
-  mss_.resize(total);
-  wsize_.resize(total);
-  ts_hz_.resize(total);
-  ts_offset_.resize(total);
   epoch_.resize(total);
   extend_hash_scratch_.resize(count);
 

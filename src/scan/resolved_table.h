@@ -1,9 +1,10 @@
 #pragma once
 
 // Columnar cache of per-address universe resolution: one row per
-// target, SoA arrays for every field NetworkSim::probe used to
-// re-derive per probe (zone ref, inverted slot, service mask, machine
-// image, timestamp clock params). Rows are append-only and aligned
+// target, SoA arrays for exactly the fields the scan's responded bit
+// reads (zone ref, inverted slot, resolution flags, service mask,
+// resolution epoch: 14 bytes per row, plus an 8-byte address hash per
+// aliased row in a side table). Rows are append-only and aligned
 // with hitlist::TargetStore rows, so each DayDelta extends the table
 // by exactly the day's new suffix; zones with rotating addresses
 // (privacy IIDs) record their resolution epoch and are lazily
@@ -53,7 +54,7 @@ class ResolvedTargetTable {
   void refresh(const ipv6::Address* addrs, int day,
                engine::Engine* engine = nullptr);
 
-  /// SoA view for NetworkSim's batched probe_resolved hot path.
+  /// SoA view for NetworkSim::probe_resolved_mask, the scan hot path.
   /// Invalidated by extend() (reallocation), not by refresh().
   netsim::ResolvedColumns columns() const {
     netsim::ResolvedColumns t;
@@ -62,26 +63,10 @@ class ResolvedTargetTable {
     t.alias_hash = alias_hash_.data();
     t.flags = flags_.data();
     t.service_mask = service_mask_.data();
-    t.ittl = ittl_.data();
-    t.wscale = wscale_.data();
-    t.options_id = options_id_.data();
-    t.ttl = ttl_.data();
-    t.mss = mss_.data();
-    t.wsize = wsize_.data();
-    t.ts_hz = ts_hz_.data();
-    t.ts_offset = ts_offset_.data();
     return t;
   }
 
-  /// Reassemble one row as the AoS record (tests, diagnostics). For
-  /// honest rows addr_hash is reassembled as 0 — only aliased-space
-  /// probing reads it, and honest rows no longer carry the column.
-  netsim::ResolvedTarget row(std::size_t i) const;
-
   std::size_t rotating_rows() const { return rotating_rows_.size(); }
-
-  /// Aliased rows currently tracked in the address-hash side table.
-  std::size_t aliased_rows() const { return alias_hash_.size(); }
 
  private:
   void store_row(std::size_t row, const netsim::ResolvedTarget& r);
@@ -98,14 +83,6 @@ class ResolvedTargetTable {
   std::vector<std::uint64_t> alias_hash_;
   std::vector<std::uint8_t> flags_;
   std::vector<std::uint8_t> service_mask_;
-  std::vector<std::uint8_t> ittl_;
-  std::vector<std::uint8_t> wscale_;
-  std::vector<std::uint8_t> options_id_;
-  std::vector<std::uint8_t> ttl_;
-  std::vector<std::uint16_t> mss_;
-  std::vector<std::uint16_t> wsize_;
-  std::vector<std::uint32_t> ts_hz_;
-  std::vector<std::uint32_t> ts_offset_;
   std::vector<std::int32_t> epoch_;  // resolution epoch per row
   // Rows living in zones with lifetime_days > 0; the only rows whose
   // cached resolution can go stale.

@@ -22,10 +22,9 @@ constexpr std::size_t kRetryTile = 256;
 void probe_chunk(netsim::NetworkSim& sim, const ResolvedColumns& cols,
                  const std::uint32_t* rows, net::ProtocolMask* masks,
                  std::size_t count, int day, const ProbeSchedule& schedule) {
-  auto sweep = [&](net::Protocol protocol, const std::uint32_t* ids,
-                   std::size_t n) {
-    sim.probe_resolved_mask(cols, ids, n, protocol, day, /*seq=*/0, masks);
-    if (schedule.retries == 0) return;
+  for (const auto protocol : schedule.protocols) {
+    sim.probe_resolved_mask(cols, rows, count, protocol, day, /*seq=*/0, masks);
+    if (schedule.retries == 0) continue;
     // Retry pass, one fixed stack tile of rows at a time: compact the
     // tile's no-answers and re-probe them at seq 1, 2, ... — a miss
     // stays a miss for availability, but per-probe loss re-rolls with
@@ -34,11 +33,11 @@ void probe_chunk(netsim::NetworkSim& sim, const ResolvedColumns& cols,
     // writes land at the same rows, so no position remap is needed.
     const net::ProtocolMask bit = net::mask_of(protocol);
     std::uint32_t misses[kRetryTile];
-    for (std::size_t begin = 0; begin < n; begin += kRetryTile) {
-      const std::size_t end = std::min(n, begin + kRetryTile);
+    for (std::size_t begin = 0; begin < count; begin += kRetryTile) {
+      const std::size_t end = std::min(count, begin + kRetryTile);
       std::size_t missed = 0;
       for (std::size_t k = begin; k < end; ++k) {
-        if ((masks[ids[k]] & bit) == 0) misses[missed++] = ids[k];
+        if ((masks[rows[k]] & bit) == 0) misses[missed++] = rows[k];
       }
       for (unsigned attempt = 1; attempt <= schedule.retries && missed > 0;
            ++attempt) {
@@ -49,18 +48,6 @@ void probe_chunk(netsim::NetworkSim& sim, const ResolvedColumns& cols,
           if ((masks[misses[k]] & bit) == 0) misses[still_missed++] = misses[k];
         }
         missed = still_missed;
-      }
-    }
-  };
-
-  if (schedule.interleave == ProbeSchedule::Interleave::kProtocolMajor) {
-    for (const auto protocol : schedule.protocols) {
-      sweep(protocol, rows, count);
-    }
-  } else {
-    for (std::size_t k = 0; k < count; ++k) {
-      for (const auto protocol : schedule.protocols) {
-        sweep(protocol, rows + k, 1);
       }
     }
   }

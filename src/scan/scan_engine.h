@@ -6,15 +6,16 @@
 // A ScanEngine owns a ResolvedTargetTable aligned with the pipeline's
 // TargetStore rows. Each day it extends the table by the day's new
 // rows (sync), refreshes rotation epochs, and then answers the
-// protocol scan from NetworkSim's batched probe_resolved hot path —
-// no per-probe universe lookups. Results land in a caller-owned
-// reusable ScanFrame (zero steady-state allocations; see
-// scan/scan_frame.h) and stream through an optional ResultSink. A
-// ProbeSchedule picks protocols, probe budget, retry policy, and
-// interleave. A scanned row's protocol bit is set iff NetworkSim::probe
-// answers at some attempt seq 0..retries, for any thread count
-// (tests/test_scan_equivalence.cpp checks every day of a campaign,
-// tests/test_scan_engine.cpp the retry schedules).
+// protocol scan one protocol at a time through
+// NetworkSim::probe_resolved_mask — no per-probe universe lookups.
+// Results land in a caller-owned reusable ScanFrame (zero
+// steady-state allocations; see scan/scan_frame.h) and stream through
+// an optional ResultSink. A ProbeSchedule picks protocols, probe
+// budget, and retry policy. A scanned row's protocol bit is set iff
+// NetworkSim::probe answers at some attempt seq 0..retries, for any
+// thread count (tests/test_scan_equivalence.cpp checks every day of a
+// campaign under default and budgeted retrying schedules,
+// tests/test_scan_engine.cpp ad-hoc lists).
 
 #include <cstdint>
 #include <vector>

@@ -10,12 +10,14 @@
 //  - filter().prefixes() equals detector().current_aliased().
 //  - Every row's aliased flag equals a linear Prefix::contains scan
 //    over current_aliased().
-//  - scan().rows() equals the ascending list of unaliased rows.
-//  - Every scanned row's mask equals NetworkSim::probe over the
-//    schedule's protocols, probed on a separate reference NetworkSim
-//    so the pipeline's probe counter stays untouched.
-//  - The day's probes_sent() delta equals 16 x batch size + scanned
-//    rows x protocol count.
+//  - scan().rows() equals the first schedule.admitted_targets(n) of
+//    the n ascending unaliased rows (all of them without a budget).
+//  - Every scanned row's protocol bit is set iff NetworkSim::probe
+//    answers at some seq 0..retries, probed on a separate reference
+//    NetworkSim so the pipeline's probe counter stays untouched.
+//  - The day's probes_sent() delta equals 16 x batch size + the
+//    reference's probe count when each (row, protocol) stops at its
+//    first answer, as the scan's retry pass does.
 //
 // The streamed scan rows must also mirror the frame row for row.
 //
@@ -57,15 +59,13 @@ struct DayRecord final : scan::ResultSink {
 
 /// Run `pipeline`'s day `day` and check it against the oracles above.
 /// `sim` is the pipeline's NetworkSim (for the probe-count delta) and
-/// `reference` a second NetworkSim over the same universe. The oracles
-/// assume the default budget and retry policy (every unaliased row is
-/// probed once per protocol).
+/// `reference` a second NetworkSim over the same universe. Any
+/// protocol set, budget and retry count is checked.
 inline hitlist::Pipeline::DayReport run_checked_day(hitlist::Pipeline& pipeline,
                                                     netsim::NetworkSim& sim,
                                                     netsim::NetworkSim& reference,
                                                     int day) {
   const scan::ProbeSchedule& schedule = pipeline.options().schedule;
-  CHECK(schedule.retries == 0 && schedule.daily_probe_budget == 0);
   const std::uint64_t probes_before = sim.probes_sent();
   DayRecord record;
   const auto report = pipeline.run_day(day, &record);
@@ -91,21 +91,26 @@ inline hitlist::Pipeline::DayReport run_checked_day(hitlist::Pipeline& pipeline,
   CHECK_EQ(flag_mismatches, 0u);
 
   const auto& frame = report.scan();
+  unaliased.resize(schedule.admitted_targets(unaliased.size()));
   CHECK(frame.rows() == unaliased);
   CHECK_EQ(report.scanned_targets, frame.rows().size());
+  const std::uint64_t reference_before = reference.probes_sent();
   std::size_t mask_mismatches = 0;
   for (const auto row : frame.rows()) {
     net::ProtocolMask expected = 0;
     for (const auto protocol : schedule.protocols) {
-      if (reference.probe(store.address(row), protocol, day).responded) {
-        expected |= net::mask_of(protocol);
+      for (unsigned seq = 0; seq <= schedule.retries; ++seq) {
+        if (reference.probe(store.address(row), protocol, day, seq).responded) {
+          expected |= net::mask_of(protocol);
+          break;
+        }
       }
     }
     mask_mismatches += frame.mask_of_row(row) != expected;
   }
   CHECK_EQ(mask_mismatches, 0u);
   CHECK_EQ(day_probes, 16 * record.fanout.size() +
-                           frame.rows().size() * schedule.protocols.size());
+                           (reference.probes_sent() - reference_before));
 
   CHECK_EQ(record.day_ends, 1u);
   CHECK_EQ(record.rows.size(), frame.rows().size());

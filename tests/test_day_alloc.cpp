@@ -7,8 +7,8 @@
 // re-filtering the members) are explicitly required in the checked
 // window: verdict application is the most tempting place to allocate,
 // so a window without flips would prove nothing about it. The
-// contract covers retrying schedules too (both interleaves): the
-// retry pass re-probes misses every day.
+// contract covers retrying schedules too: the retry pass re-probes
+// misses every day.
 //
 // Static complement: tools/symlint.py --policy noalloc walks the
 // machine-code call graph from Pipeline::run_day and the stage entry
@@ -88,14 +88,10 @@ void run_quiet_days(unsigned threads, const scan::ProbeSchedule& schedule,
 int main(int argc, char** argv) {
   scan::ProbeSchedule retrying;
   retrying.retries = 2;
-  scan::ProbeSchedule retrying_target_major = retrying;
-  retrying_target_major.interleave =
-      scan::ProbeSchedule::Interleave::kTargetMajor;
   for (const unsigned threads :
        v6h::test::thread_counts_from_cli(argc, argv, {1, 4})) {
     run_quiet_days(threads, {}, "default schedule");
-    run_quiet_days(threads, retrying, "retries 2, protocol-major");
-    run_quiet_days(threads, retrying_target_major, "retries 2, target-major");
+    run_quiet_days(threads, retrying, "retries 2");
   }
   std::printf("%d checks, %d failures\n", v6h::test::checks,
               v6h::test::failures);

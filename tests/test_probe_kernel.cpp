@@ -1,12 +1,11 @@
 // The probe-kernel contract: NetworkSim's branchless columnar kernel
-// (probe_resolved_mask) must be BIT-identical to the scalar
-// references — the responded bit of the columnar probe_resolved and
-// of NetworkSim::probe — for every address class the universe
-// produces (honest live hosts, dead discoverable slots, aliased
-// space, carve-out islands, rotating addresses, unrouted space),
-// every protocol, across days and seq values, for batch shapes that
-// cross the kernel's internal tile boundary and for sparse row
-// subsets. Whole campaigns are covered by
+// (probe_resolved_mask) must be BIT-identical to the model's
+// definition, the responded bit of NetworkSim::probe, for every
+// address class the universe produces (honest live hosts, dead
+// discoverable slots, aliased space, carve-out islands, rotating
+// addresses, unrouted space), every protocol, across days and seq
+// values, for batch shapes that cross the kernel's internal tile
+// boundary and for sparse row subsets. Whole campaigns are covered by
 // tests/test_scan_equivalence.cpp, whose every scanned mask must equal
 // NetworkSim::probe.
 
@@ -14,63 +13,37 @@
 
 #include "netsim/network_sim.h"
 #include "netsim/universe.h"
+#include "probe_targets.h"
 #include "scan/resolved_table.h"
 #include "test_main.h"
-#include "util/rng.h"
 
 using namespace v6h;
 
 namespace {
 
-// Addresses exercising every resolution class (the probe_targets
-// recipe of tests/test_scan_engine.cpp, denser so one batch spans
-// several 128-row kernel tiles plus a ragged tail).
+// Every resolution class, dense enough that one batch spans several
+// 128-row kernel tiles plus a ragged tail.
 std::vector<ipv6::Address> probe_targets(const netsim::Universe& universe,
                                          int day) {
-  std::vector<ipv6::Address> out;
-  util::Rng rng(0xfeed + static_cast<unsigned>(day));
-  for (std::size_t z = 0; z < universe.zones().size(); z += 3) {
-    const auto& zone = universe.zones()[z];
-    const auto pool = zone.discoverable_count();
-    out.push_back(zone.discoverable_address(0, day));
-    out.push_back(zone.discoverable_address(pool - 1, day));
-    out.push_back(zone.discoverable_address(
-        static_cast<std::uint32_t>(rng.uniform(pool)), day));
-    if (zone.config().lifetime_days > 0) {
-      out.push_back(
-          zone.discoverable_address(0, day + zone.config().lifetime_days));
-    }
-    out.push_back(zone.prefix().random_address(rng.next_u64()));
-    out.push_back(zone.prefix().fanout_address(static_cast<unsigned>(z & 0xf),
-                                               rng.next_u64()));
-    if (zone.config().carveout) {
-      out.push_back(zone.config().carveout->random_address(rng.next_u64()));
-    }
-  }
-  for (int i = 0; i < 64; ++i) {
-    out.push_back(ipv6::Address::from_u64(
-        0xfd00000000000000ULL + rng.next_u64(), rng.next_u64()));
-  }
-  return out;
+  return test::probe_targets(universe, day, /*zone_stride=*/3, /*seed=*/0xfeed);
 }
 
-// One branchless sweep over `rows` against the scalar columnar
-// probe_resolved over the same rows; returns true when the scattered
-// masks agree byte for byte.
+// One branchless sweep over `rows` against one NetworkSim::probe per
+// row; returns true when the scattered masks agree byte for byte.
 bool masks_agree(netsim::NetworkSim& sim, const netsim::ResolvedColumns& cols,
-                 const std::vector<std::uint32_t>& rows, std::size_t row_count,
-                 net::Protocol protocol, int day, unsigned seq) {
-  std::vector<netsim::ProbeResult> results(rows.size());
-  sim.probe_resolved(cols, rows.data(), rows.size(), protocol, day, seq,
-                     results.data());
-  std::vector<net::ProtocolMask> scalar(row_count, 0);
-  for (std::size_t k = 0; k < rows.size(); ++k) {
-    if (results[k].responded) scalar[rows[k]] |= net::mask_of(protocol);
+                 const std::vector<ipv6::Address>& targets,
+                 const std::vector<std::uint32_t>& rows, net::Protocol protocol,
+                 int day, unsigned seq) {
+  std::vector<net::ProtocolMask> expected(targets.size(), 0);
+  for (const auto row : rows) {
+    if (sim.probe(targets[row], protocol, day, seq).responded) {
+      expected[row] |= net::mask_of(protocol);
+    }
   }
-  std::vector<net::ProtocolMask> branchless(row_count, 0);
+  std::vector<net::ProtocolMask> branchless(targets.size(), 0);
   sim.probe_resolved_mask(cols, rows.data(), rows.size(), protocol, day, seq,
                           branchless.data());
-  return scalar == branchless;
+  return expected == branchless;
 }
 
 void run_tests() {
@@ -108,26 +81,11 @@ void run_tests() {
 
     for (const auto protocol : net::kAllProtocols) {
       for (const unsigned seq : {0u, 3u}) {
-        disagreements += !masks_agree(sim, cols, all_rows, targets.size(),
-                                      protocol, day, seq);
-        disagreements += !masks_agree(sim, cols, sparse_rows, targets.size(),
-                                      protocol, day, seq);
-        disagreements += !masks_agree(sim, cols, short_rows, targets.size(),
-                                      protocol, day, seq);
-        batches += 3;
-      }
-    }
-
-    // The branchless mask must also match the model's definition,
-    // the unresolved probe(), directly.
-    std::vector<net::ProtocolMask> masks(targets.size(), 0);
-    for (const auto protocol : net::kAllProtocols) {
-      std::fill(masks.begin(), masks.end(), net::ProtocolMask{0});
-      sim.probe_resolved_mask(cols, all_rows.data(), all_rows.size(), protocol,
-                              day, /*seq=*/0, masks.data());
-      for (std::size_t i = 0; i < targets.size(); ++i) {
-        const bool reference = sim.probe(targets[i], protocol, day, 0).responded;
-        disagreements += (masks[i] != 0) != reference;
+        for (const auto* rows : {&all_rows, &sparse_rows, &short_rows}) {
+          disagreements +=
+              !masks_agree(sim, cols, targets, *rows, protocol, day, seq);
+          ++batches;
+        }
       }
     }
   }

@@ -1,67 +1,32 @@
-// The resolved-probe contract: probing through a cached resolution
-// must be byte-identical to NetworkSim::probe for every kind of
-// address the universe can produce — aliased space, carve-out
-// islands, honest hosts, dead discoverable addresses, rotating
-// privacy addresses across epoch boundaries, and unrouted space — for
-// all protocols, several days, and several seq values. Also covers
-// ScanEngine::scan_addresses against a per-target NetworkSim::probe
-// loop, and the ProbeSchedule budget/retry scenarios.
+// The resolved-probe contract: the scan's responded bit, read through
+// a cached resolution (NetworkSim::resolve + probe_resolved_mask),
+// must equal NetworkSim::probe for every kind of address the universe
+// can produce — aliased space, carve-out islands, honest hosts, dead
+// discoverable addresses, rotating privacy addresses across epoch
+// boundaries, and unrouted space — for all protocols, several days,
+// and several seq values. Also covers ScanEngine::scan_addresses
+// against a per-target NetworkSim::probe loop, and the ProbeSchedule
+// budget/retry scenarios.
 
+#include <numeric>
 #include <vector>
 
 #include "engine/engine.h"
 #include "netsim/network_sim.h"
 #include "netsim/universe.h"
+#include "probe_targets.h"
 #include "scan/probe_schedule.h"
 #include "scan/resolved_table.h"
 #include "scan/scan_engine.h"
 #include "test_main.h"
-#include "util/rng.h"
 
 using namespace v6h;
 
 namespace {
 
-bool same_result(const netsim::ProbeResult& a, const netsim::ProbeResult& b) {
-  return a.responded == b.responded && a.ttl == b.ttl && a.ittl == b.ittl &&
-         a.wscale == b.wscale && a.mss == b.mss && a.wsize == b.wsize &&
-         a.options_id == b.options_id && a.has_timestamp == b.has_timestamp &&
-         a.tsval == b.tsval;
-}
-
-// Addresses exercising every resolution class, built per day so
-// rotating zones contribute their current canonical addresses as well
-// as yesterday's (now stale) ones.
 std::vector<ipv6::Address> probe_targets(const netsim::Universe& universe,
                                          int day) {
-  std::vector<ipv6::Address> out;
-  util::Rng rng(0xbeef + static_cast<unsigned>(day));
-  for (std::size_t z = 0; z < universe.zones().size(); z += 7) {
-    const auto& zone = universe.zones()[z];
-    const auto pool = zone.discoverable_count();
-    // Live, dead-but-discoverable, and day-stale addresses.
-    out.push_back(zone.discoverable_address(0, day));
-    out.push_back(zone.discoverable_address(pool - 1, day));
-    out.push_back(zone.discoverable_address(
-        static_cast<std::uint32_t>(rng.uniform(pool)), day));
-    if (zone.config().lifetime_days > 0) {
-      out.push_back(zone.discoverable_address(0, day + zone.config().lifetime_days));
-    }
-    // Random (usually non-canonical) addresses inside the zone, and
-    // APD-style fan-out probes of its prefix.
-    out.push_back(zone.prefix().random_address(rng.next_u64()));
-    out.push_back(zone.prefix().fanout_address(
-        static_cast<unsigned>(z & 0xf), rng.next_u64()));
-    if (zone.config().carveout) {
-      out.push_back(zone.config().carveout->random_address(rng.next_u64()));
-    }
-  }
-  for (int i = 0; i < 64; ++i) {
-    // Unrouted space (the universe announces under 2001:xxxx::/32).
-    out.push_back(ipv6::Address::from_u64(0xfd00000000000000ULL + rng.next_u64(),
-                                          rng.next_u64()));
-  }
-  return out;
+  return test::probe_targets(universe, day, /*zone_stride=*/7, /*seed=*/0xbeef);
 }
 
 void run_probe_equivalence() {
@@ -89,17 +54,11 @@ void run_probe_equivalence() {
       const std::uint32_t row = static_cast<std::uint32_t>(i);
       for (const auto protocol : net::kAllProtocols) {
         for (const unsigned seq : {0u, 3u}) {
-          const auto legacy = sim.probe(targets[i], protocol, day, seq);
-          const auto aos =
-              sim.probe_resolved(sim.resolve(targets[i], day), protocol, day, seq);
-          netsim::ProbeResult soa;
-          sim.probe_resolved(cols, &row, 1, protocol, day, seq, &soa);
           masks[row] = 0;
           sim.probe_resolved_mask(cols, &row, 1, protocol, day, seq,
                                   masks.data());
-          mismatches += !same_result(legacy, aos);
-          mismatches += !same_result(legacy, soa);
-          mismatches += (masks[row] != 0) != legacy.responded;
+          mismatches += (masks[row] != 0) !=
+                        sim.probe(targets[i], protocol, day, seq).responded;
         }
       }
     }
@@ -117,13 +76,17 @@ void run_probe_equivalence() {
     table.extend(targets.data(), targets.size(), day0);
     table.refresh(targets.data(), day1);
     const auto cols = table.columns();
+    std::vector<std::uint32_t> rows(targets.size());
+    std::iota(rows.begin(), rows.end(), 0u);
     std::size_t stale = 0;
-    for (std::size_t i = 0; i < targets.size(); ++i) {
-      const std::uint32_t row = static_cast<std::uint32_t>(i);
-      netsim::ProbeResult refreshed;
-      sim.probe_resolved(cols, &row, 1, net::Protocol::kIcmp, day1, 0, &refreshed);
-      stale += !same_result(sim.probe(targets[i], net::Protocol::kIcmp, day1, 0),
-                            refreshed);
+    for (const auto protocol : net::kAllProtocols) {
+      std::vector<net::ProtocolMask> masks(targets.size(), 0);
+      sim.probe_resolved_mask(cols, rows.data(), rows.size(), protocol, day1, 0,
+                              masks.data());
+      for (std::size_t i = 0; i < targets.size(); ++i) {
+        stale += (masks[i] != 0) !=
+                 sim.probe(targets[i], protocol, day1, 0).responded;
+      }
     }
     CHECK_EQ(stale, 0u);
   }
@@ -204,9 +167,8 @@ void run_schedule_scenarios() {
     CHECK_EQ(unlimited.admitted_targets(123), 123u);
   }
 
-  // Retries can only add responders, and both interleaves agree. The
-  // same frame is refilled across the three scans (the reuse the day
-  // loop depends on).
+  // Retries can only add responders. The same frame is refilled across
+  // both scans (the reuse the day loop depends on).
   {
     netsim::NetworkSim sim(universe);
     scan::ScanEngine engine(sim);
@@ -223,25 +185,17 @@ void run_schedule_scenarios() {
     retrying.retries = 2;
     const auto retried = masks_of(retrying);
     const std::uint64_t retried_probes = sim.probes_sent() - base_probes;
-    scan::ProbeSchedule target_major = retrying;
-    target_major.interleave = scan::ProbeSchedule::Interleave::kTargetMajor;
-    const auto by_target = masks_of(target_major);
     std::size_t lost = 0;
     std::size_t gained = 0;
-    std::size_t interleave_diff = 0;
     for (std::size_t i = 0; i < targets.size(); ++i) {
       lost += (base[i] & ~retried[i]) != 0;
       gained += retried[i] != base[i];
-      interleave_diff += retried[i] != by_target[i];
     }
     CHECK_EQ(lost, 0u);
     CHECK(gained > 0);  // some loss must re-roll into an answer
-    CHECK_EQ(interleave_diff, 0u);
-    // Both interleaves send the same retries: each miss gets attempts
-    // 1, 2, ... until it answers.
-    CHECK_EQ(sim.probes_sent() - base_probes - retried_probes, retried_probes);
     // Retry oracle: a row's bit is set iff NetworkSim::probe answers
-    // at some seq in 0..retries.
+    // at some seq in 0..retries, and each miss gets attempts 1, 2, ...
+    // until it answers.
     netsim::NetworkSim reference(universe);
     std::size_t oracle_diff = 0;
     for (std::size_t i = 0; i < targets.size(); ++i) {
