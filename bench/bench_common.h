@@ -264,8 +264,8 @@ struct BenchArgs {
     return options;
   }
 
-  /// The sharded execution engine every bench routes its universe
-  /// build and pipeline runs through; --threads 1 is the serial path.
+  /// The execution engine every bench routes its universe build and
+  /// pipeline runs through; --threads 1 is the serial path.
   engine::Engine make_engine() const {
     engine::EngineOptions options;
     options.threads = static_cast<unsigned>(threads);

@@ -15,98 +15,62 @@ using ipv6::Prefix;
 
 namespace {
 
-// The multi-level aggregation of Section 5.2: every hitlist address
-// counts toward its /48../112 aggregates plus its announced prefix
+// The multi-level aggregation of Section 5.2: fn(prefix) once for
+// each of an address's /48../112 aggregates and its announced prefix
 // (unless that coincides with a fixed level, which must not count the
 // address twice). Shared by the daily full recount and the
 // incremental counter so the two can never drift apart.
 constexpr std::uint8_t kLevels[] = {48, 64, 96, 112};
 
-template <typename Map>
-void count_address_levels(const Address& a, const netsim::BgpTable& bgp,
-                          Map& counts) {
-  for (const auto level : kLevels) {
-    ++counts[Prefix(a, level)];
-  }
+template <typename Fn>
+void for_each_level_prefix(const Address& a, const netsim::BgpTable& bgp,
+                           Fn&& fn) {
+  for (const auto level : kLevels) fn(Prefix(a, level));
   if (const auto* announcement = bgp.lookup(a)) {
     const std::uint8_t length = announcement->prefix.length();
     bool already_counted = false;
     for (const auto level : kLevels) already_counted |= level == length;
-    if (!already_counted) ++counts[announcement->prefix];
+    if (!already_counted) fn(announcement->prefix);
   }
 }
 
 }  // namespace
 
 CandidateCounter::CandidateCounter(const netsim::BgpTable& bgp,
-                                   std::size_t min_targets,
-                                   engine::Engine* engine)
+                                   std::size_t min_targets)
     // min_targets 0 behaves like 1: the full recount admits every
     // *counted* prefix (counts start at 1), and the crossing check
     // below must agree — a fresh counter entry starts at 0, which
     // would otherwise read as "already a candidate" and never cross.
-    : bgp_(&bgp),
-      min_targets_(std::max<std::size_t>(1, min_targets)),
-      engine_(engine) {}
+    : bgp_(&bgp), min_targets_(std::max<std::size_t>(1, min_targets)) {}
 
 void CandidateCounter::reserve_for(std::size_t max_addresses) {
   // Every unique address contributes at most 5 level prefixes, and
   // measured campaigns track ~3.3 prefixes per address — 4x bounds
-  // the global table. The per-shard scratch sees one day's additions;
-  // shards are keyed on AS bits (roughly uniform), so an even split
-  // with 4x skew slack covers the worst single day. Candidate-side
-  // vectors are bounded by one entry per tracked prefix.
-  counts_.reserve(max_addresses * 4 + 64);
-  for (auto& shard : local_) {
-    shard.reserve((max_addresses * 5 / engine::kShardCount) * 4 + 64);
-  }
-  partition_.order.reserve(max_addresses);
-  candidates_.reserve(max_addresses + 64);
-  merged_.reserve(max_addresses + 64);
-  crossed_.reserve(max_addresses + 64);
+  // the table. Each candidate holds at least min_targets of those
+  // contributions, so at most 5 * max_addresses / min_targets prefixes
+  // ever become candidates, and never more than are tracked.
+  const std::size_t tracked = max_addresses * 4 + 64;
+  const std::size_t candidates =
+      std::min(tracked, 5 * max_addresses / min_targets_ + 64);
+  counts_.reserve(tracked);
+  candidates_.reserve(candidates);
+  merged_.reserve(candidates);
+  crossed_.reserve(candidates);
 }
 
 const std::vector<Prefix>& CandidateCounter::add_addresses(
     const Address* addrs, std::size_t count) {
   crossed_.clear();
   if (count == 0) return crossed_;
-  // Count: one hash map per top-bits shard, whole buckets on the
-  // engine workers. All level prefixes of an address live in its
-  // shard (every level is at or below /48 > kShardDepth); only an
-  // announced prefix shorter than the shard key can straddle buckets,
-  // and the commutative merge below absorbs that.
-  for (auto& shard : local_) shard.clear();
-  engine::shard_partition_into(
-      addrs, count, [](const Address& a) { return engine::shard_of(a); },
-      partition_);
-  auto count_shards = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t s = begin; s < end; ++s) {
-      for (std::uint32_t k = partition_.bounds[s];
-           k < partition_.bounds[s + 1]; ++k) {
-        count_address_levels(addrs[partition_.order[k]], *bgp_, local_[s]);
-      }
-    }
-  };
-  if (engine_ != nullptr && engine_->parallel()) {
-    // Grain 1 = a task never splits a shard, so each worker owns its
-    // `local_[s]` maps exclusively until the return barrier hands them
-    // to the serial merge (the CandidateCounter thread discipline).
-    engine_->parallel_for(engine::kShardCount, 1, count_shards);
-  } else {
-    count_shards(0, engine::kShardCount);
-  }
-  // Merge: serial, in shard order. Counts only ever grow, so a prefix
-  // crosses min_targets at most once — the crossing set is a pure
-  // function of the address set regardless of hash-map iteration
-  // order, and sorting makes the returned order canonical too.
-  for (const auto& shard_counts : local_) {
-    // order_lint: allow(sum-commutative: counts only grow; crossed_ sorted below)
-    for (const auto& [prefix, added] : shard_counts) {
-      auto& total = counts_[prefix];
-      const bool was_candidate = total >= min_targets_;
-      total += added;
-      if (!was_candidate && total >= min_targets_) crossed_.push_back(prefix);
-    }
+  // Counts only ever grow, one per address and level, so a prefix
+  // crosses min_targets exactly once: on the increment that reaches
+  // it. The crossing set is a pure function of the address set, and
+  // sorting makes the returned order canonical too.
+  for (std::size_t i = 0; i < count; ++i) {
+    for_each_level_prefix(addrs[i], *bgp_, [&](const Prefix& prefix) {
+      if (++counts_[prefix] == min_targets_) crossed_.push_back(prefix);
+    });
   }
   std::sort(crossed_.begin(), crossed_.end());
   // Absorb into the sorted candidate list by merging into a reused
@@ -126,7 +90,6 @@ AliasDetector::AliasDetector(netsim::NetworkSim& sim, const ApdOptions& options,
 void AliasDetector::reserve_prefixes(std::size_t max_prefixes) {
   state_.reserve(max_prefixes);
   outcomes_.reserve(max_prefixes);
-  partition_.order.reserve(max_prefixes);
 }
 
 PrefixOutcome AliasDetector::probe_prefix(const Prefix& prefix, int day) {
@@ -155,23 +118,19 @@ void AliasDetector::run_day_on_prefixes(const std::vector<Prefix>& prefixes,
   const std::size_t n = prefixes.size();
   outcomes_.clear();
   outcomes_.resize(n);
-  if (engine_ != nullptr && engine_->parallel()) {
-    // Batch per top-bits shard: each worker chunk probes one region of
-    // the address space; outcomes are index-addressed, so the merge
-    // below reads them back in input order regardless of scheduling.
-    engine::shard_partition_into(
-        prefixes.data(), n,
-        [](const Prefix& p) { return engine::shard_first(p); }, partition_);
-    engine_->parallel_for(n, 4, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t k = begin; k < end; ++k) {
-        const std::size_t i = partition_.order[k];
-        outcomes_[i] = probe_prefix(prefixes[i], day);
-      }
-    });
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
+  // Contiguous index chunks: a sorted candidate batch keeps each chunk
+  // inside one region of the address space. Outcomes are
+  // index-addressed, so the merge below reads them back in input order
+  // regardless of scheduling.
+  auto probe_range = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
       outcomes_[i] = probe_prefix(prefixes[i], day);
     }
+  };
+  if (engine_ != nullptr) {
+    engine_->parallel_for(n, 4, probe_range);
+  } else {
+    probe_range(0, n);
   }
   // Deterministic merge: windows update serially in input order.
   for (std::size_t i = 0; i < n; ++i) {
@@ -205,7 +164,7 @@ std::vector<Prefix> AliasDetector::candidate_prefixes(
   std::unordered_map<Prefix, std::size_t, ipv6::PrefixHash> counts;
   const auto& bgp = sim_->universe().bgp();
   for (const auto& a : targets) {
-    count_address_levels(a, bgp, counts);
+    for_each_level_prefix(a, bgp, [&](const Prefix& prefix) { ++counts[prefix]; });
   }
   std::vector<Prefix> out;
   // order_lint: allow(sorted-after: membership filter, out is sorted below)

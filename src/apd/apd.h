@@ -9,20 +9,18 @@
 // Steady-state allocation discipline: the persistent per-prefix state
 // lives in flat open-addressing tables (util::FlatMap) instead of
 // node containers, the sliding window is a fixed bit-ring instead of
-// a deque, and every per-day transient (outcomes, shard partitions,
-// crossing lists) is a reusable scratch member. A warm APD day — new
-// prefixes included, once table capacity has warmed up — therefore
-// performs zero heap allocations, which tests/test_day_alloc.cpp and
-// the symlint noalloc policy's day-loop roots both enforce.
+// a deque, and every per-day transient (outcomes, crossing lists) is
+// a reusable scratch member. A warm APD day — new prefixes included,
+// once table capacity has warmed up — therefore performs zero heap
+// allocations, which tests/test_day_alloc.cpp and the symlint noalloc
+// policy's day-loop roots both enforce.
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <vector>
 
 #include "engine/engine.h"
-#include "engine/shard.h"
 #include "ipv6/address.h"
 #include "ipv6/prefix.h"
 #include "net/protocol.h"
@@ -129,20 +127,18 @@ class SlidingVerdict {
 /// Persistent multi-level candidate counters for the delta-driven day
 /// loop: instead of re-counting the whole hitlist x 5 levels every
 /// day (AliasDetector::candidate_prefixes), fold in only the day's
-/// new addresses. Counting runs as per-shard hash maps on the engine
-/// workers followed by a serial merge in shard order, so the
-/// candidate set — and therefore every downstream probe — is
-/// byte-identical for any thread count and to the full recount.
+/// new addresses. Each new address bumps its level prefixes straight
+/// in the persistent table, and a prefix becomes a candidate on the
+/// increment that brings it to min_targets. Counts only grow, so the
+/// candidate set — and therefore every downstream probe — equals the
+/// full recount.
 ///
-/// Thread discipline: the persistent `counts_` map is only touched
-/// by the coordinator's serial merge; workers count into per-shard
-/// scratch maps they own exclusively (one shard bucket per task),
-/// with the pool barrier ordering the hand-off — so no field here
-/// needs a lock, and none is safe to race from outside add_addresses.
+/// Thread discipline: add_addresses runs entirely on the calling
+/// (coordinator) thread; no field is shared with engine workers, and
+/// none is safe to race from outside it.
 class CandidateCounter {
  public:
-  CandidateCounter(const netsim::BgpTable& bgp, std::size_t min_targets,
-                   engine::Engine* engine = nullptr);
+  CandidateCounter(const netsim::BgpTable& bgp, std::size_t min_targets);
 
   /// Pre-size the counters for a universe whose cumulative hitlist
   /// will hold at most `max_addresses` unique addresses, so counting
@@ -165,19 +161,11 @@ class CandidateCounter {
   std::size_t tracked_prefixes() const { return counts_.size(); }
 
  private:
-  using CountMap = util::FlatMap<ipv6::Prefix, std::size_t, ipv6::PrefixHash>;
-
   const netsim::BgpTable* bgp_;
   std::size_t min_targets_;
-  engine::Engine* engine_;
-  CountMap counts_;
+  util::FlatMap<ipv6::Prefix, std::size_t, ipv6::PrefixHash> counts_;
   std::vector<ipv6::Prefix> candidates_;
-  // Per-day scratch, reused across calls (phase-disciplined: workers
-  // own local_[s] exclusively for their shard buckets between the
-  // dispatch and the pool barrier; everything else is
-  // coordinator-only — see the class comment).
-  std::array<CountMap, engine::kShardCount> local_;
-  engine::ShardPartition partition_;
+  // Per-call scratch, reused across calls.
   std::vector<ipv6::Prefix> crossed_;
   std::vector<ipv6::Prefix> merged_;
 };
@@ -199,7 +187,7 @@ class AliasDetector {
 
   PrefixOutcome probe_prefix(const ipv6::Prefix& prefix, int day);
 
-  /// One APD day over a candidate batch: probe (sharded across the
+  /// One APD day over a candidate batch: probe (in index chunks on the
   /// engine workers when one is attached), update windows in input
   /// order, and fill `out` with the prefixes currently judged aliased
   /// plus the verdict delta. `out`'s vectors are cleared and refilled
@@ -249,9 +237,8 @@ class AliasDetector {
   util::FlatMap<ipv6::Prefix, VerdictState, ipv6::PrefixHash> state_;
   // Per-day scratch, reused across calls. Workers write disjoint
   // index-addressed outcomes_[i] between dispatch and the pool
-  // barrier; partition_ is coordinator-only.
+  // barrier.
   std::vector<PrefixOutcome> outcomes_;
-  engine::ShardPartition partition_;
 };
 
 }  // namespace v6h::apd

@@ -1,9 +1,11 @@
 #pragma once
 
-// Sharded parallel execution engine for the daily pipeline: a
-// work-stealing ThreadPool plus the deterministic parallel_for every
-// pipeline stage (source draws, APD fan-out, protocol scans, alias
-// filtering, universe construction) is routed through.
+// Parallel execution engine for the daily pipeline: a work-stealing
+// ThreadPool plus the deterministic parallel_for every pipeline stage
+// (source draws, APD fan-out, protocol scans, alias filtering,
+// universe construction) is routed through. parallel_for splits the
+// caller's index range into contiguous chunks, so a sorted input keeps
+// each chunk inside one region of the address space.
 //
 // Determinism contract: a null Engine* or threads == 1 executes every
 // loop inline on the historical serial path; for any other thread

@@ -14,12 +14,7 @@ void AliasFilter::insert(const Prefix& prefix) {
       std::lower_bound(prefixes_.begin(), prefixes_.end(), prefix);
   if (it != prefixes_.end() && *it == prefix) return;
   prefixes_.insert(it, prefix);
-  const std::size_t first = engine::shard_first(prefix);
-  const std::size_t last = engine::shard_last(prefix);
-  for (std::size_t shard = first; shard <= last; ++shard) {
-    tries_[shard].insert(prefix, true);
-  }
-  any_ = true;
+  trie_.insert(prefix, true);
 }
 
 void AliasFilter::remove(const Prefix& prefix) {
@@ -27,40 +22,24 @@ void AliasFilter::remove(const Prefix& prefix) {
       std::lower_bound(prefixes_.begin(), prefixes_.end(), prefix);
   if (it == prefixes_.end() || *it != prefix) return;
   prefixes_.erase(it);
-  const std::size_t first = engine::shard_first(prefix);
-  const std::size_t last = engine::shard_last(prefix);
-  for (std::size_t shard = first; shard <= last; ++shard) {
-    tries_[shard].erase(prefix);
-  }
-  any_ = !prefixes_.empty();
+  trie_.erase(prefix);
 }
 
 void AliasFilter::is_aliased_many(const Address* in, std::size_t count,
                                   std::vector<char>* aliased,
                                   engine::Engine* engine) const {
   aliased->assign(count, 0);
-  if (!any_) return;
-  // Worker discipline: the per-shard tries are read-only here (insert
-  // and erase are coordinator-only, between scan phases), and each
-  // worker writes only its own index range of `aliased`; the
-  // parallel_for return barrier publishes the column to the caller.
+  if (trie_.empty()) return;
+  // Worker discipline: the trie is read-only here (insert and erase
+  // are coordinator-only, between scan phases), and each worker
+  // writes only its own index range of `aliased`; the parallel_for
+  // return barrier publishes the column to the caller.
   auto run = [&](std::size_t begin, std::size_t end) {
-    constexpr std::size_t kBatch = 128;
-    const bool* hits[kBatch];
-    std::size_t i = begin;
-    while (i < end) {
-      // Maximal run of same-shard addresses -> one batched trie call.
-      const std::size_t shard = engine::shard_of(in[i]);
-      std::size_t j = i + 1;
-      while (j < end && j - i < kBatch && engine::shard_of(in[j]) == shard) ++j;
-      tries_[shard].longest_match_many(&in[i], j - i, hits);
-      for (std::size_t k = i; k < j; ++k) {
-        (*aliased)[k] = hits[k - i] != nullptr;
-      }
-      i = j;
+    for (std::size_t i = begin; i < end; ++i) {
+      (*aliased)[i] = trie_.longest_match(in[i]) != nullptr;
     }
   };
-  if (engine != nullptr && engine->parallel()) {
+  if (engine != nullptr) {
     engine->parallel_for(count, 512, run);
   } else {
     run(0, count);
@@ -70,7 +49,7 @@ void AliasFilter::is_aliased_many(const Address* in, std::size_t count,
 void AliasFilter::reserve(std::size_t max_prefixes,
                           std::size_t max_trie_nodes) {
   prefixes_.reserve(max_prefixes);
-  for (auto& trie : tries_) trie.reserve(max_trie_nodes, max_prefixes);
+  trie_.reserve(max_trie_nodes, max_prefixes);
 }
 
 Pipeline::Pipeline(const netsim::Universe& universe, netsim::NetworkSim& sim,
@@ -82,7 +61,7 @@ Pipeline::Pipeline(const netsim::Universe& universe, netsim::NetworkSim& sim,
       obs_(options_.obs),
       sources_(universe, sim, engine),
       detector_(sim, options_.apd, engine),
-      counter_(universe.bgp(), options_.apd.min_targets, engine),
+      counter_(universe.bgp(), options_.apd.min_targets),
       scan_engine_(sim, engine) {
   // Stage-level instrumentation inside the scan engine and the APD
   // fan-out; registry storage was allocated when the Observability

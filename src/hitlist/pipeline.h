@@ -21,13 +21,11 @@
 // DayReport borrows it, and streaming consumers can pass a
 // scan::ResultSink to run_day instead of holding any copy at all.
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "apd/apd.h"
 #include "engine/engine.h"
-#include "engine/shard.h"
 #include "hitlist/day_scratch.h"
 #include "hitlist/target_store.h"
 #include "ipv6/address.h"
@@ -61,29 +59,26 @@ struct PipelineOptions {
   obs::Observability* obs = nullptr;
 };
 
-/// The APD verdict set as a queryable filter. Prefixes are
-/// partitioned by top bits into per-shard tries (a prefix shorter
-/// than the shard width is replicated into every shard it overlaps),
-/// so batched filtering can run shard-local on the engine workers.
-/// Mutable in place: the pipeline applies each day's verdict
-/// transitions as insert/remove instead of rebuilding the tries.
+/// The APD verdict set as a queryable filter: one longest-prefix-match
+/// trie over the aliased prefixes. Mutable in place: the pipeline
+/// applies each day's verdict transitions as insert/remove instead of
+/// rebuilding the trie.
 ///
 /// Thread discipline: insert/remove run only on the coordinator
-/// thread between parallel phases; during is_aliased_many the tries
-/// are read-only and each worker walks its own shard's trie, so the
-/// only shared write is the caller-provided output column, which is
-/// index-addressed and disjoint per chunk.
+/// thread between parallel phases; during is_aliased_many the trie is
+/// read-only, so the only shared write is the caller-provided output
+/// column, which is index-addressed and disjoint per chunk.
 class AliasFilter {
  public:
   AliasFilter() = default;
 
-  /// Pre-size the sorted membership list and the per-shard tries so
-  /// day-loop inserts never grow a container: `max_prefixes` bounds
-  /// the aliased set, `max_trie_nodes` the node arena of each shard's
-  /// trie (path compression is absent, so budget ~ the deepest
-  /// prefix length for the first insert in a region plus a short
-  /// marginal tail for each further prefix; the counting-allocator
-  /// test fails loudly if a campaign outgrows the budget).
+  /// Pre-size the sorted membership list and the trie so day-loop
+  /// inserts never grow a container: `max_prefixes` bounds the
+  /// aliased set, `max_trie_nodes` the trie's node arena (path
+  /// compression is absent, so budget ~ the deepest prefix length for
+  /// the first insert in a region plus a short marginal tail for each
+  /// further prefix; the counting-allocator test fails loudly if a
+  /// campaign outgrows the budget).
   void reserve(std::size_t max_prefixes, std::size_t max_trie_nodes);
 
   /// Add `prefix` to the aliased set (no-op when present).
@@ -93,15 +88,13 @@ class AliasFilter {
   void remove(const ipv6::Prefix& prefix);
 
   bool is_aliased(const ipv6::Address& a) const {
-    // `any_` hoists the old per-call trie emptiness test out of the
-    // hot loop; an empty filter answers without touching a trie.
-    return any_ && tries_[engine::shard_of(a)].longest_match(a) != nullptr;
+    // An empty filter answers without walking the trie.
+    return !trie_.empty() && trie_.longest_match(a) != nullptr;
   }
 
-  /// Batched filter: (*aliased)[i] = is_aliased(in[i]), computed in
-  /// same-shard runs via PrefixTrie::longest_match_many and sharded
-  /// across the engine workers when one is given. Output order is the
-  /// input order for any thread count.
+  /// Batched filter: (*aliased)[i] = is_aliased(in[i]), in index
+  /// chunks across the engine workers when one is given. Output order
+  /// is the input order for any thread count.
   void is_aliased_many(const ipv6::Address* in, std::size_t count,
                        std::vector<char>* aliased,
                        engine::Engine* engine = nullptr) const;
@@ -111,16 +104,15 @@ class AliasFilter {
 
  private:
   std::vector<ipv6::Prefix> prefixes_;
-  bool any_ = false;
-  std::array<ipv6::PrefixTrie<bool>, engine::kShardCount> tries_;
+  ipv6::PrefixTrie<bool> trie_;
 };
 
 class Pipeline {
  public:
   /// With an engine, the collect draws, APD fan-out, alias filtering,
-  /// and protocol scans of each day run sharded on its workers; a
-  /// null engine (or --threads 1) is the serial path. Output is
-  /// byte-identical either way (tests/test_engine_equivalence.cpp).
+  /// and protocol scans of each day run on its workers; a null engine
+  /// (or --threads 1) is the serial path. Output is byte-identical
+  /// either way (tests/test_engine_equivalence.cpp).
   Pipeline(const netsim::Universe& universe, netsim::NetworkSim& sim,
            PipelineOptions options = {}, engine::Engine* engine = nullptr);
 
@@ -146,7 +138,7 @@ class Pipeline {
     return store_.addresses();
   }
 
-  /// Columnar per-target state (first-seen day, aliased flag, shard).
+  /// Columnar per-target state (first-seen day, aliased flag).
   const TargetStore& store() const { return store_; }
 
   /// What the most recent run_day changed.

@@ -2,7 +2,7 @@
 
 // Binary longest-prefix-match trie over IPv6 prefixes. Nodes live in
 // a flat vector (index links), so tries copy cheaply with their owner
-// (BGP table, alias filter).
+// (BGP table, zone table, alias filter).
 
 #include <algorithm>
 #include <cstdint>
@@ -86,16 +86,6 @@ class PrefixTrie {
       node = static_cast<std::size_t>(next);
     }
     return best < 0 ? nullptr : &values_[static_cast<std::size_t>(best)];
-  }
-
-  /// Batched longest_match over a contiguous address array:
-  /// results[i] = longest_match(addrs[i]). One call per same-shard run
-  /// keeps the hot upper trie levels cached across the whole batch.
-  void longest_match_many(const Address* addrs, std::size_t count,
-                          const T** results) const {
-    for (std::size_t i = 0; i < count; ++i) {
-      results[i] = longest_match(addrs[i]);
-    }
   }
 
   /// Exact-prefix lookup, or nullptr if that exact prefix was never inserted.

@@ -24,12 +24,14 @@
 // OracleCampaign holds the mid-campaign scenario both day-loop tests
 // sweep (test_pipeline_incremental, test_scan_equivalence).
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "apd/apd.h"
 #include "engine/engine.h"
 #include "hitlist/pipeline.h"
 #include "ipv6/prefix.h"
@@ -126,7 +128,8 @@ inline hitlist::Pipeline::DayReport run_checked_day(hitlist::Pipeline& pipeline,
 
 /// A pipeline over a fresh seed-`seed` universe (scale 0.05, 300 tail
 /// ASes) with a one-day APD window, so prefixes age out in-run, and
-/// the reference NetworkSim its oracles probe.
+/// the reference NetworkSim its oracles probe. `min_targets` is the
+/// APD candidate threshold (ApdOptions' default unless given).
 struct OracleCampaign {
   static constexpr int kFirstDay = 150;  // mid-campaign: growth + flicker
   static constexpr int kDays = 10;
@@ -138,12 +141,14 @@ struct OracleCampaign {
   hitlist::Pipeline pipeline;
 
   OracleCampaign(std::uint64_t seed, unsigned threads,
-                 scan::ProbeSchedule schedule = {})
+                 scan::ProbeSchedule schedule = {},
+                 std::size_t min_targets = apd::ApdOptions{}.min_targets)
       : eng(engine::EngineOptions{threads}),
         universe(universe_params(seed), &eng),
         sim(universe),
         reference(universe),
-        pipeline(universe, sim, pipeline_options(std::move(schedule)), &eng) {}
+        pipeline(universe, sim,
+                 pipeline_options(std::move(schedule), min_targets), &eng) {}
 
   /// Run `day` and check it against the oracles.
   hitlist::Pipeline::DayReport run_day(int day) {
@@ -159,9 +164,10 @@ struct OracleCampaign {
     return params;
   }
   static hitlist::PipelineOptions pipeline_options(
-      scan::ProbeSchedule schedule) {
+      scan::ProbeSchedule schedule, std::size_t min_targets) {
     hitlist::PipelineOptions options;
     options.apd.window_days = 1;
+    options.apd.min_targets = min_targets;
     options.schedule = std::move(schedule);
     return options;
   }

@@ -6,10 +6,10 @@
 // order-nondeterminism the *binary* symbol walk can never see: no
 // banned symbol is called, the bug is purely in iteration order
 // reaching publication. The order_lint_negative ctest lints this file
-// and must flag the range-for below (there is deliberately no
-// `order_lint: allow(...)` marker). Compiled into the symlint_fixture
-// object library — to prove it stays valid C++ — and never linked
-// into the product.
+// and must flag the range-for below (there is deliberately no allow
+// marker in this file). Compiled into the symlint_fixture object
+// library — to prove it stays valid C++ — and never linked into the
+// product.
 
 #include <cstdint>
 #include <unordered_map>

@@ -8,7 +8,9 @@
 // window: verdict application is the most tempting place to allocate,
 // so a window without flips would prove nothing about it. The
 // contract covers retrying schedules too: the retry pass re-probes
-// misses every day.
+// misses every day. At min_targets 1 every tracked prefix is an APD
+// candidate, so a whole 270-day campaign at that threshold drives the
+// candidate lists to their largest size.
 //
 // Static complement: tools/symlint.py --policy noalloc walks the
 // machine-code call graph from Pipeline::run_day and the stage entry
@@ -16,9 +18,12 @@
 // capacity-elastic allowlist; this test proves those elastic routes
 // actually go quiet.
 
+#include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <vector>
 
+#include "apd/apd.h"
 #include "engine/engine.h"
 #include "hitlist/pipeline.h"
 #include "netsim/network_sim.h"
@@ -31,36 +36,45 @@ using namespace v6h;
 
 namespace {
 
-void run_quiet_days(unsigned threads, const scan::ProbeSchedule& schedule,
-                    const char* label) {
+// One checked window of a campaign: days [first_day, first_day +
+// total_days), the first two absorbing the cold start (capacity
+// warm-up in the reserved-but-cold corners); every later day must be
+// allocation-quiet, flips included.
+struct QuietWindow {
+  const char* label = "default schedule";
+  std::uint64_t seed = 5;
+  std::size_t min_targets = apd::ApdOptions{}.min_targets;
+  // Mid-campaign by default: source growth has ramped, APD verdicts
+  // are live.
+  int first_day = 100;
+  int total_days = 18;
+  scan::ProbeSchedule schedule;
+};
+
+void run_quiet_days(unsigned threads, const QuietWindow& window) {
   engine::EngineOptions engine_options;
   engine_options.threads = threads;
   engine::Engine eng(engine_options);
 
   netsim::UniverseParams params;
-  params.seed = 5;
+  params.seed = window.seed;
   params.scale = 0.05;
   params.tail_as_count = 300;
   const netsim::Universe universe(params, &eng);
   netsim::NetworkSim sim(universe);
   hitlist::PipelineOptions options;
-  options.schedule = schedule;
+  options.schedule = window.schedule;
+  options.apd.min_targets = window.min_targets;
   hitlist::Pipeline pipeline(universe, sim, options, &eng);
 
-  // Mid-campaign window: source growth has ramped, APD verdicts are
-  // live. The first two days absorb the cold start (capacity
-  // warm-up in the reserved-but-cold corners); every later day must
-  // be allocation-quiet, flips included.
-  const int first_day = 100;
   const int warmup_days = 2;
-  const int total_days = 18;
   std::size_t flips_in_window = 0;
   std::size_t responsive_total = 0;
   std::vector<std::uint64_t> day_allocs;
-  day_allocs.reserve(static_cast<std::size_t>(total_days));
-  for (int d = 0; d < total_days; ++d) {
+  day_allocs.reserve(static_cast<std::size_t>(window.total_days));
+  for (int d = 0; d < window.total_days; ++d) {
     const std::uint64_t before = util::allocation_count();
-    const auto report = pipeline.run_day(first_day + d);
+    const auto report = pipeline.run_day(window.first_day + d);
     responsive_total += report.scan().responsive_any_count();
     day_allocs.push_back(util::allocation_count() - before);
     if (d >= warmup_days) {
@@ -72,12 +86,12 @@ void run_quiet_days(unsigned threads, const scan::ProbeSchedule& schedule,
   // The window must contain at least one verdict-flip day, or the
   // claim below would silently skip the filter-mutation path.
   CHECK(flips_in_window > 0);
-  for (int d = warmup_days; d < total_days; ++d) {
+  for (int d = warmup_days; d < window.total_days; ++d) {
     const auto allocs = day_allocs[static_cast<std::size_t>(d)];
     CHECK_EQ(allocs, 0u);
     if (allocs != 0) {
       std::fprintf(stderr, "  day %d (threads %u, %s): %llu allocations\n",
-                   first_day + d, threads, label,
+                   window.first_day + d, threads, window.label,
                    static_cast<unsigned long long>(allocs));
     }
   }
@@ -86,12 +100,21 @@ void run_quiet_days(unsigned threads, const scan::ProbeSchedule& schedule,
 }  // namespace
 
 int main(int argc, char** argv) {
-  scan::ProbeSchedule retrying;
-  retrying.retries = 2;
+  const QuietWindow default_schedule;
+  QuietWindow retrying;
+  retrying.label = "retries 2";
+  retrying.schedule.retries = 2;
+  QuietWindow every_prefix;
+  every_prefix.label = "min_targets 1, days 1-270";
+  every_prefix.seed = 1;
+  every_prefix.min_targets = 1;
+  every_prefix.first_day = 1;
+  every_prefix.total_days = 270;
   for (const unsigned threads :
        v6h::test::thread_counts_from_cli(argc, argv, {1, 4})) {
-    run_quiet_days(threads, {}, "default schedule");
-    run_quiet_days(threads, retrying, "retries 2");
+    run_quiet_days(threads, default_schedule);
+    run_quiet_days(threads, retrying);
+    run_quiet_days(threads, every_prefix);
   }
   std::printf("%d checks, %d failures\n", v6h::test::checks,
               v6h::test::failures);

@@ -1,7 +1,7 @@
-// Determinism/equivalence harness for the sharded pipeline engine
-// (ISSUE 2): for seeds {1,2,3} x threads {1,2,4,8}, the parallel
-// pipeline's hitlist, alias set, per-protocol response counts, and
-// per-target scan results must be byte-identical to the serial run.
+// Determinism/equivalence harness for the parallel pipeline engine:
+// for seeds {1,2,3} x threads {1,2,4,8}, the parallel pipeline's
+// hitlist, alias set, per-protocol response counts, and per-target
+// scan results must be byte-identical to the serial run.
 //
 // Accepts `--threads N` (repeatable) to test extra thread counts —
 // the CI ThreadSanitizer job passes --threads 8.
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "engine/engine.h"
-#include "engine/shard.h"
 #include "hitlist/pipeline.h"
 #include "net/protocol.h"
 #include "netsim/network_sim.h"
@@ -122,23 +121,6 @@ void run_tests(const std::vector<unsigned>& thread_counts) {
   // Different seeds must not collide — guards against a fingerprint
   // that ignores its inputs.
   CHECK(run_pipeline(1, 1).fingerprint != run_pipeline(2, 1).fingerprint);
-
-  // The shard key must actually discriminate on this universe's
-  // address plan, or the whole sharding layer degenerates to one
-  // bucket and the per-shard batching is dead weight.
-  {
-    netsim::UniverseParams params;
-    params.scale = 0.05;
-    params.tail_as_count = 300;
-    const netsim::Universe universe(params);
-    std::vector<bool> seen(engine::kShardCount, false);
-    for (const auto& zone : universe.zones()) {
-      seen[engine::shard_of(zone.prefix().address())] = true;
-    }
-    std::size_t populated = 0;
-    for (const bool hit : seen) populated += hit;
-    CHECK(populated == engine::kShardCount);
-  }
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 // aliased space without flagging honest space, scans carry response
 // masks, and the whole thing is deterministic.
 
-#include "engine/shard.h"
 #include "hitlist/pipeline.h"
 #include "hitlist/stats.h"
 #include "test_main.h"
@@ -58,7 +57,6 @@ static void run_tests() {
     CHECK(store.address(row) == pipeline.targets()[row]);
     CHECK(store.first_seen_day(row) >= 268 && store.first_seen_day(row) <= 270);
     CHECK_EQ(store.aliased(row), filter.is_aliased(store.address(row)));
-    CHECK_EQ(store.shard(row), engine::shard_of(store.address(row)));
   }
 
   // Prefix range queries find exactly the contained rows.

@@ -35,6 +35,10 @@ pure counter folds. There is deliberately no file-level or global
 allowlist — every hatch is visible next to the code it excuses, and
 a new unordered iteration anywhere fails CI until it either sorts or
 justifies itself (README "Correctness tooling" has the policy table).
+A marker whose reach (its own line and the two below) holds no
+finding is itself a finding, stale-allow: a hatch must not outlive
+the code it excused, or it silently excuses whatever lands under it
+next.
 
 How it reads C++
 ----------------
@@ -48,8 +52,8 @@ construction slightly under-approximates on arbitrary C++ (e.g. a
 container reached through a function return value).
 
 Exit status: 0 clean, 1 unallowed finding(s), 2 tool/usage error.
---expect-violation swaps 0/1 (the order_lint_negative fixture ctest
-asserts the lint still bites).
+--expect-violation swaps 0/1 (the order_lint_negative and
+order_lint_stale_negative fixture ctests assert the lint still bites).
 """
 
 import argparse
@@ -158,6 +162,21 @@ def marker_for(raw_lines, line):
             if reason:
                 return reason
     return None
+
+
+def stale_markers(path, raw_lines, finding_lines):
+    """Allow markers whose reach — the marker's own line and the two
+    below it, the mirror of marker_for — holds no finding."""
+    stale = []
+    for index, text in enumerate(raw_lines):
+        line = index + 1
+        if MARKER_RE.search(text) and not any(
+                line <= f <= line + 2 for f in finding_lines):
+            stale.append(Finding(
+                path, line, "stale-allow",
+                "allow marker covers no finding on its line or the two "
+                "below it: delete the marker"))
+    return stale
 
 
 # ------------------------------------------------------------- lexer
@@ -418,6 +437,11 @@ def main(argv=None):
     for f in sorted(findings, key=lambda f: (f.path, f.line, f.check)):
         f.allow_reason = marker_for(raw[f.path].splitlines(), f.line)
         (allowed if f.allow_reason else flagged).append(f)
+    # Stale markers join after the split: a marker never excuses itself.
+    for path in files:
+        flagged += stale_markers(path, raw[path].splitlines(),
+                                 {f.line for f in findings if f.path == path})
+    flagged.sort(key=lambda f: (f.path, f.line, f.check))
 
     for f in allowed:
         print(f"{f.path}:{f.line}: allowed [{f.check}] "
