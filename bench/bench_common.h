@@ -107,24 +107,6 @@ inline std::vector<net::Protocol> parse_protocols(const char* flag,
   return out;
 }
 
-/// Observability output path (--trace / --metrics): fail fast at
-/// parse time, not after a long run. An empty path is a flag-usage
-/// error; writability is probed by opening for append (creates the
-/// file, touches no existing content).
-inline std::string parse_out_path(const char* flag, const char* text) {
-  if (*text == '\0') {
-    std::fprintf(stderr, "%s needs a non-empty path\n", flag);
-    std::exit(2);
-  }
-  std::FILE* f = std::fopen(text, "a");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s path '%s' for writing\n", flag, text);
-    std::exit(2);
-  }
-  std::fclose(f);
-  return text;
-}
-
 }  // namespace detail
 
 struct BenchArgs {
@@ -139,14 +121,6 @@ struct BenchArgs {
   long long probe_budget = 0;  // daily probe budget; 0 = unlimited
   int retries = 0;             // extra attempts for unanswered probes
   std::string out_dir = ".";
-  // Observability (src/obs): --trace writes a Chrome trace-event JSON
-  // of the run, --metrics dumps the merged registry, --obs-off turns
-  // the layer off entirely (the overhead-gate baseline). Both paths
-  // are validated at parse time (empty or unwritable -> exit 2) so a
-  // long bench run cannot discover a bad path at export time.
-  std::string trace_path;    // empty = tracing off
-  std::string metrics_path;  // empty = no metrics dump
-  bool obs_off = false;
 
   static BenchArgs parse(int argc, char** argv) {
     BenchArgs args;
@@ -176,19 +150,11 @@ struct BenchArgs {
         args.retries = detail::parse_int("--retries", next_value("--retries"));
       } else if (std::strcmp(argv[i], "--out") == 0) {
         args.out_dir = next_value("--out");
-      } else if (std::strcmp(argv[i], "--trace") == 0) {
-        args.trace_path =
-            detail::parse_out_path("--trace", next_value("--trace"));
-      } else if (std::strcmp(argv[i], "--metrics") == 0) {
-        args.metrics_path =
-            detail::parse_out_path("--metrics", next_value("--metrics"));
-      } else if (std::strcmp(argv[i], "--obs-off") == 0) {
-        args.obs_off = true;
       } else if (std::strcmp(argv[i], "--help") == 0) {
         std::printf(
             "flags: --scale S --days N --horizon D --threads T --out DIR "
             "--protocols icmp,tcp80,tcp443,udp53,udp443 --probe-budget N "
-            "--retries N --trace FILE --metrics FILE --obs-off\n");
+            "--retries N\n");
         std::exit(0);
       } else {
         std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
@@ -228,13 +194,6 @@ struct BenchArgs {
     if (args.retries < 0 || args.retries > 16) {
       std::fprintf(stderr, "--retries must be between 0 and 16 (got %d)\n",
                    args.retries);
-      std::exit(2);
-    }
-    if (args.obs_off &&
-        (!args.trace_path.empty() || !args.metrics_path.empty())) {
-      std::fprintf(stderr,
-                   "--obs-off conflicts with --trace/--metrics (they need "
-                   "the observability layer)\n");
       std::exit(2);
     }
     return args;

@@ -54,8 +54,7 @@ void AliasFilter::reserve(std::size_t max_prefixes,
 
 Pipeline::Pipeline(const netsim::Universe& universe, netsim::NetworkSim& sim,
                    PipelineOptions options, engine::Engine* engine)
-    : universe_(&universe),
-      options_(std::move(options)),
+    : options_(std::move(options)),
       engine_(engine),
       sim_(&sim),
       obs_(options_.obs),

@@ -160,7 +160,6 @@ class Pipeline {
   const PipelineOptions& options() const { return options_; }
 
  private:
-  const netsim::Universe* universe_;
   PipelineOptions options_;
   engine::Engine* engine_;
   netsim::NetworkSim* sim_;          // for the probe-count telemetry

@@ -36,7 +36,6 @@ Observability::Observability(const ObsOptions& options, unsigned lanes)
   core_.chunk_rows =
       registry_.histogram("engine.chunk_rows", kChunkRowsBounds,
                           sizeof(kChunkRowsBounds) / sizeof(std::uint64_t));
-  core_.day_allocs = registry_.gauge("day.allocs", false);
   core_.trace_dropped = registry_.gauge("obs.trace_dropped", false);
 }
 
@@ -52,7 +51,6 @@ void Observability::record_span(Stage stage, std::uint64_t start_ns,
 void Observability::begin_day(int day) {
   (void)day;
   day_start_ns_ = now_ns();
-  allocs_at_begin_ = alloc_probe_ != nullptr ? alloc_probe_() : 0;
 }
 
 void Observability::end_day(int day) {
@@ -60,9 +58,6 @@ void Observability::end_day(int day) {
   // The day envelope span is recorded before the merge so it lands in
   // this day's delta alongside the stage spans it encloses.
   record_span(Stage::kDay, day_start_ns_, end_ns);
-  if (alloc_probe_ != nullptr) {
-    registry_.set(core_.day_allocs, alloc_probe_() - allocs_at_begin_);
-  }
   registry_.set(core_.trace_dropped, ring_.dropped());
   registry_.add(core_.days, 1);
   registry_.merge_day();
@@ -82,7 +77,6 @@ void Observability::end_day(int day) {
   telemetry_.pool_tasks = registry_.day(core_.pool_tasks);
   telemetry_.pool_steals = registry_.day(core_.pool_steals);
   telemetry_.chunks = registry_.day(core_.chunks);
-  telemetry_.allocs = registry_.day(core_.day_allocs);
   telemetry_.trace_dropped = registry_.day(core_.trace_dropped);
 
   if (options_.tracing) {
@@ -93,7 +87,6 @@ void Observability::end_day(int day) {
     ring_.counter("pipeline.hitlist_rows", end_ns, telemetry_.hitlist_rows);
     ring_.counter("engine.pool_tasks", end_ns, telemetry_.pool_tasks);
     ring_.counter("engine.pool_steals", end_ns, telemetry_.pool_steals);
-    ring_.counter("day.allocs", end_ns, telemetry_.allocs);
   }
   if (sink_ != nullptr) sink_->on_day(telemetry_);
 }
@@ -146,43 +139,6 @@ std::string Observability::trace_json() const {
   }
   append_f(&out, "],\"otherData\":{\"dropped_events\":%" PRIu64 "}}",
            ring_.dropped());
-  return out;
-}
-
-std::string Observability::metrics_json() const {
-  // Cumulative merged values of every registered metric (valid after
-  // the last merge_day). Cold; allocation here is fine.
-  std::string out;
-  out.reserve(registry_.metric_count() * 80 + 64);
-  out += "{\"metrics\":[";
-  for (std::size_t i = 0; i < registry_.metric_count(); ++i) {
-    const Registry::Desc& d = registry_.describe(static_cast<MetricId>(i));
-    if (i != 0) out += ',';
-    const char* kind = d.kind == MetricKind::kCounter    ? "counter"
-                       : d.kind == MetricKind::kGauge    ? "gauge"
-                                                         : "histogram";
-    append_f(&out,
-             "{\"name\":\"%s\",\"kind\":\"%s\",\"deterministic\":%s,",
-             d.name, kind, d.deterministic ? "true" : "false");
-    if (d.kind == MetricKind::kHistogram) {
-      out += "\"bounds\":[";
-      for (std::uint32_t b = 0; b + 1 < d.slots; ++b) {
-        if (b != 0) out += ',';
-        append_f(&out, "%" PRIu64, d.bounds[b]);
-      }
-      out += "],\"buckets\":[";
-      for (std::uint32_t b = 0; b < d.slots; ++b) {
-        if (b != 0) out += ',';
-        append_f(&out, "%" PRIu64,
-                 registry_.merged_bucket(static_cast<MetricId>(i), b));
-      }
-      out += "]}";
-    } else {
-      append_f(&out, "\"value\":%" PRIu64 "}",
-               registry_.merged(static_cast<MetricId>(i)));
-    }
-  }
-  out += "]}";
   return out;
 }
 

@@ -77,9 +77,8 @@ struct CoreMetrics {
   MetricId parallel_fors;  // counter: parallel sweeps dispatched
   MetricId chunks;         // counter: chunks across all sweeps
   MetricId chunk_rows;     // histogram: rows per chunk
-  // Nondeterministic day bookkeeping gauges:
-  MetricId day_allocs;      // gauge: heap allocations inside run_day
-  MetricId trace_dropped;   // gauge: ring drops so far
+  // Nondeterministic day bookkeeping gauge:
+  MetricId trace_dropped;  // gauge: ring drops so far
 };
 
 /// One pipeline day, assembled from the merged registry at end_day.
@@ -98,7 +97,6 @@ struct DayTelemetry {
   std::uint64_t pool_tasks = 0;
   std::uint64_t pool_steals = 0;
   std::uint64_t chunks = 0;
-  std::uint64_t allocs = 0;
   std::uint64_t trace_dropped = 0;
 };
 
@@ -135,9 +133,6 @@ class Observability {
   const TraceRing& ring() const { return ring_; }
 
   void set_sink(TelemetrySink* sink) { sink_ = sink; }
-  /// Hook for the counting allocator (util::allocation_count); lets
-  /// the day.allocs gauge work without obs linking against it.
-  void set_alloc_probe(std::uint64_t (*probe)()) { alloc_probe_ = probe; }
 
   // ---- day boundary (coordinator; allocation-free) ----------------
   void begin_day(int day);
@@ -151,7 +146,6 @@ class Observability {
 
   // ---- cold export (allocates; never on the day path) -------------
   std::string trace_json() const;
-  std::string metrics_json() const;
 
   static std::uint64_t now_ns();
 
@@ -160,14 +154,12 @@ class Observability {
   Registry registry_;
   TraceRing ring_;
   CoreMetrics core_{};
-  // Configuration hooks: set between runs on the coordinator, read by
-  // end_day on the same thread. Workers never touch them.
+  // Configuration hook: set between runs on the coordinator, read by
+  // end_day on the same thread. Workers never touch it.
   TelemetrySink* sink_ V6H_LANE_OWNED(coordinator) = nullptr;
-  std::uint64_t (*alloc_probe_)() V6H_LANE_OWNED(coordinator) = nullptr;
   // Day-boundary bookkeeping: begin_day/end_day/record-assembly run on
   // the coordinator only, outside any parallel phase.
   std::uint64_t day_start_ns_ V6H_LANE_OWNED(coordinator) = 0;
-  std::uint64_t allocs_at_begin_ V6H_LANE_OWNED(coordinator) = 0;
   DayTelemetry telemetry_ V6H_LANE_OWNED(coordinator);
 };
 

@@ -5,11 +5,11 @@
 // operator new/new[] with malloc-backed versions that bump a process
 // counter, readable via v6h::util::allocation_count(). Shared by the
 // zero-allocation tests (tests/test_scan_frame.cpp,
-// tests/test_day_alloc.cpp) and the warm-day allocation check of
-// bench_fig8_longitudinal so the enforcement points can never
-// disagree about what counts as an allocation. The replacement functions are deliberately
-// non-inline (the standard forbids inline replacements); including
-// this from two TUs of one binary is an ODR violation by design.
+// tests/test_day_alloc.cpp, tests/test_obs.cpp) so the enforcement
+// points can never disagree about what counts as an allocation. The
+// replacement functions are deliberately non-inline (the standard
+// forbids inline replacements); including this from two TUs of one
+// binary is an ODR violation by design.
 
 #include <atomic>
 #include <cstdint>

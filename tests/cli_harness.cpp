@@ -17,11 +17,9 @@ int main(int argc, char** argv) {
   const auto args = v6h::bench::BenchArgs::parse(argc, argv);
   std::printf(
       "scale=%g days=%d horizon=%d threads=%d out=%s protocols=%s "
-      "budget=%lld retries=%d trace=%s metrics=%s obs_off=%d\n",
+      "budget=%lld retries=%d\n",
       args.scale, args.days, args.horizon, args.threads, args.out_dir.c_str(),
       v6h::scan::protocols_to_string(args.protocols).c_str(), args.probe_budget,
-      args.retries, args.trace_path.empty() ? "-" : args.trace_path.c_str(),
-      args.metrics_path.empty() ? "-" : args.metrics_path.c_str(),
-      args.obs_off ? 1 : 0);
+      args.retries);
   return 0;
 }

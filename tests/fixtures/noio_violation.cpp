@@ -5,9 +5,9 @@
 // stream lock, drags locale state into the hot path, and (worst)
 // normalizes writing output from inside the loop, which is how
 // nondeterministic telemetry ends up interleaved with publication
-// data. Telemetry export is cold-path by design (obs::trace_json /
-// metrics_json run outside the rooted graph); this fixture proves the
-// lint bites anything that tries to print from inside. The
+// data. Telemetry export is cold-path by design (obs::trace_json
+// runs outside the rooted graph); this fixture proves the lint bites
+// anything that tries to print from inside. The
 // noio_lint_negative ctest walks fixture_probe_sweep and must find
 // this path. Compiled into the symlint_fixture object library and
 // never linked into the product.

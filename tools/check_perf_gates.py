@@ -1,135 +1,127 @@
 #!/usr/bin/env python3
-"""CI perf gates over the longitudinal bench artifacts.
+"""CI perf gates over four daybench run logs.
 
-Compares a fresh bench run against the repo's committed baselines and
-hard-fails the perf-smoke job on:
+Run it with no arguments from the directory that holds the stdout of
+four `python3 daybench/run.py --seed 1 --seconds 1` runs:
 
- * a nonzero steady-state allocation count — BENCH_pipeline.json's
-   incremental `allocs` series must be exactly zero on every day after
-   the first (day 1 absorbs the process cold start; every later day,
-   verdict flips included, runs the allocation-free warm loop the
-   counting-allocator test pins at small scale), and
+  campaign.log         --workload campaign --trace 0
+  campaign_serial.log  --workload campaign_serial --trace 0
+  cold_start.log       --workload cold_start --trace 0
+  campaign_trace.log   --workload campaign --trace 1
 
- * a resolved-scan cost regression — the fresh
-   `resolved_ns_per_probe` may not exceed the committed baseline by
-   more than --tolerance (default 20%). Per-probe normalization keeps
-   the number comparable across machines of the same class; the
-   generous tolerance absorbs the rest of the hardware delta while
-   still catching a kernel that quietly fell back to scalar code
-   (a ~2.5x jump), and
+Each log holds the driver's summary line (`workload=... digest=...`)
+and, as its last line, the JSON result. BENCH_daybench.json at the
+repository root holds the reference values: the campaign and
+cold_start digests and the traced run's APD probe count. A change
+that alters the day loop's output refreshes it.
 
- * with --obs-run: an observability overhead regression —
-   the fully-instrumented run's incremental day-loop total may not
-   exceed --obs-factor (default 1.03) times the --obs-off baseline
-   plus --obs-grace-ms (default 30 ms — two back-to-back processes on
-   a shared CI runner carry a few ms of scheduler noise each, which a
-   pure ratio would mistake for overhead on a fast run). The obs
-   run's incremental `allocs` must also be zero on every warm day:
-   tracing and metrics enabled may not reintroduce day-loop
-   allocations.
+Every gate is exact or compares two numbers from the same run, so no
+gate depends on how fast the machine is:
 
-Usage: check_perf_gates.py --fresh bench-out [--baseline repo-root]
-                           [--obs-run bench-out-obs]
-Exit: 0 when all gates hold, 1 on violation, 2 on missing artifacts.
+  correct                   every run reports "correct": true and
+                            "failed": 0
+  digest                    campaign, campaign_serial and the traced
+                            campaign print the committed campaign
+                            digest; cold_start prints its own
+  apd.probes                the traced run's APD probe count equals
+                            the committed one
+  obs.trace_dropped         the traced run's trace ring dropped nothing
+  obs.trace_overhead_ratio  traced over untraced days_per_s, from
+                            alternating passes of the traced run, is
+                            at least 0.75
+
+Exit: 0 when every gate holds, 1 when one fails (each failure names
+its gate), 2 when a log or BENCH_daybench.json is missing or malformed.
 """
 
-import argparse
 import json
 import sys
 from pathlib import Path
 
+COMMITTED = Path(__file__).resolve().parent.parent / "BENCH_daybench.json"
+TRACED_LOG = "campaign_trace.log"
+# log -> (workload that must have written it, its committed digest)
+RUNS = {
+    "campaign.log": ("campaign", "campaign"),
+    "campaign_serial.log": ("campaign_serial", "campaign"),
+    "cold_start.log": ("cold_start", "cold_start"),
+    TRACED_LOG: ("campaign", "campaign"),
+}
+MIN_TRACE_OVERHEAD_RATIO = 0.75
 
-def load(path):
+
+def bad_input(message):
+    print(f"check_perf_gates: {message}", file=sys.stderr)
+    sys.exit(2)
+
+
+def read_run(log, workload):
+    """The summary-line fields and the JSON result of one run log."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, ValueError) as err:
-        print(f"check_perf_gates: cannot read {path}: {err}", file=sys.stderr)
-        sys.exit(2)
+        lines = Path(log).read_text().splitlines()
+        result = json.loads(lines[-1])
+    except (OSError, IndexError, ValueError) as err:
+        bad_input(f"{log}: no JSON result line ({err})")
+    summary = next((line for line in lines if line.startswith("workload=")),
+                   None)
+    if summary is None:
+        bad_input(f"{log}: no workload= summary line")
+    fields = dict(token.split("=", 1) for token in summary.split()
+                  if "=" in token)
+    if fields.get("workload") != workload:
+        bad_input(f"{log}: written by workload {fields.get('workload')}, "
+                  f"want {workload}")
+    return fields, result
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--fresh", required=True,
-                        help="directory with the fresh BENCH_*.json run")
-    parser.add_argument("--baseline", default=".",
-                        help="directory with the committed baselines")
-    parser.add_argument("--tolerance", type=float, default=0.20,
-                        help="allowed fractional resolved_ns regression")
-    parser.add_argument("--obs-run", default=None,
-                        help="directory with the fully-instrumented "
-                             "BENCH_*.json run (enables the overhead gate)")
-    parser.add_argument("--obs-factor", type=float, default=1.03,
-                        help="allowed obs/baseline day-loop time ratio")
-    parser.add_argument("--obs-grace-ms", type=float, default=30.0,
-                        help="absolute grace on the obs overhead gate")
-    args = parser.parse_args()
+    try:
+        committed = json.loads(COMMITTED.read_text())
+        digests = {key: committed["digest"][key]
+                   for _, key in RUNS.values()}
+        apd_probes = committed["apd.probes"]
+    except (OSError, ValueError, KeyError, TypeError) as err:
+        bad_input(f"cannot read {COMMITTED}: {err!r}")
 
-    fresh_scan = load(Path(args.fresh) / "BENCH_scan.json")
-    base_scan = load(Path(args.baseline) / "BENCH_scan.json")
-    fresh_pipe = load(Path(args.fresh) / "BENCH_pipeline.json")
+    failures = []
 
-    failures = 0
+    def gate(name, holds, detail):
+        if not holds:
+            failures.append(f"gate {name} failed: {detail}")
 
-    allocs = fresh_pipe.get("incremental", {}).get("allocs", [])
-    if not allocs:
-        print("check_perf_gates: BENCH_pipeline.json has no incremental "
-              "allocs series", file=sys.stderr)
-        failures += 1
-    for day, count in enumerate(allocs[1:], start=2):
-        if count != 0:
-            print(f"check_perf_gates: day {day} allocated {count} times; "
-                  "warm run_day days must be allocation-free",
-                  file=sys.stderr)
-            failures += 1
+    runs = {log: read_run(log, workload)
+            for log, (workload, _) in RUNS.items()}
+    for log, (fields, result) in runs.items():
+        gate("correct",
+             result.get("correct") is True and result.get("failed") == 0,
+             f"{log} reports correct={result.get('correct')} "
+             f"failed={result.get('failed')}")
+        want = digests[RUNS[log][1]]
+        gate("digest", fields.get("digest") == want,
+             f"{log} prints digest={fields.get('digest')}, committed {want}")
 
-    fresh_ns = fresh_scan.get("resolved_ns_per_probe", 0.0)
-    base_ns = base_scan.get("resolved_ns_per_probe", 0.0)
-    if fresh_ns <= 0 or base_ns <= 0:
-        print("check_perf_gates: missing resolved_ns_per_probe "
-              f"(fresh={fresh_ns}, baseline={base_ns})", file=sys.stderr)
-        failures += 1
-    elif fresh_ns > base_ns * (1.0 + args.tolerance):
-        print(f"check_perf_gates: resolved scan regressed: {fresh_ns:.2f} "
-              f"ns/probe vs committed {base_ns:.2f} (+{args.tolerance:.0%} "
-              "allowed)", file=sys.stderr)
-        failures += 1
-    else:
-        print(f"check_perf_gates: resolved {fresh_ns:.2f} ns/probe vs "
-              f"baseline {base_ns:.2f} — OK")
+    metrics = runs[TRACED_LOG][1].get("metrics", {})
 
-    if args.obs_run:
-        obs_pipe = load(Path(args.obs_run) / "BENCH_pipeline.json")
-        base_ms = sum(fresh_pipe.get("incremental", {}).get("day_ms", []))
-        obs_ms = sum(obs_pipe.get("incremental", {}).get("day_ms", []))
-        if base_ms <= 0 or obs_ms <= 0:
-            print("check_perf_gates: missing incremental day_ms series "
-                  f"(baseline={base_ms}, obs={obs_ms})", file=sys.stderr)
-            failures += 1
-        elif obs_ms > base_ms * args.obs_factor + args.obs_grace_ms:
-            print(f"check_perf_gates: observability overhead too high: "
-                  f"{obs_ms:.1f} ms instrumented vs {base_ms:.1f} ms "
-                  f"baseline (allowed {args.obs_factor:.2f}x "
-                  f"+ {args.obs_grace_ms:.0f} ms)", file=sys.stderr)
-            failures += 1
-        else:
-            print(f"check_perf_gates: obs overhead {obs_ms:.1f} ms vs "
-                  f"{base_ms:.1f} ms baseline — OK")
-        for day, count in enumerate(
-                obs_pipe.get("incremental", {}).get("allocs", [])[1:],
-                start=2):
-            if count != 0:
-                print(f"check_perf_gates: instrumented day {day} allocated "
-                      f"{count} times; full observability must stay "
-                      "allocation-free on warm days", file=sys.stderr)
-                failures += 1
+    def metric(name):
+        return metrics.get(name, {}).get("value")
 
+    gate("apd.probes", metric("apd.probes") == apd_probes,
+         f"{TRACED_LOG} reports {metric('apd.probes')}, "
+         f"committed {apd_probes}")
+    gate("obs.trace_dropped", metric("obs.trace_dropped") == 0,
+         f"{TRACED_LOG} dropped {metric('obs.trace_dropped')} trace events")
+    ratio = metric("obs.trace_overhead_ratio")
+    gate("obs.trace_overhead_ratio",
+         ratio is not None and ratio >= MIN_TRACE_OVERHEAD_RATIO,
+         f"{TRACED_LOG} reports {ratio}, "
+         f"want at least {MIN_TRACE_OVERHEAD_RATIO}")
+
+    for failure in failures:
+        print(f"check_perf_gates: {failure}", file=sys.stderr)
     if failures:
-        print(f"check_perf_gates: {failures} gate violation(s)",
-              file=sys.stderr)
         return 1
-    print(f"check_perf_gates: all gates hold "
-          f"({len(allocs)} days, scan within tolerance)")
+    print(f"check_perf_gates: all gates hold over {len(runs)} runs "
+          f"(obs.trace_overhead_ratio {ratio})")
     return 0
 
 

@@ -21,10 +21,10 @@ build along four axes:
                    in CMakeLists, not buried here.
   noio             the steady-state day loop performs no file or
                    stream I/O: no read/write/open, no stdio, no
-                   iostream. Telemetry export (trace_json /
-                   metrics_json) and the bench writers are cold-path
-                   by design and live outside the rooted graph; this
-                   policy is what keeps them there.
+                   iostream. Telemetry export (trace_json) and the
+                   bench writers are cold-path by design and live
+                   outside the rooted graph; this policy is what keeps
+                   them there.
   nothrow-hotpath  the scan/probe kernels reach no __cxa_throw /
                    __cxa_allocate_exception / std::__throw_* helper:
                    the branchless sweep can never unwind. (The
