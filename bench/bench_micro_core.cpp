@@ -175,8 +175,9 @@ void BM_ApdPrefixTest(benchmark::State& state) {
   v6h::netsim::NetworkSim sim(universe);
   v6h::apd::AliasDetector detector(sim);
   const Prefix aliased = universe.true_aliased_prefixes().front();
+  const auto seeds = v6h::apd::AliasDetector::fanout_seeds(0);
   for (auto _ : state) {
-    auto outcome = detector.probe_prefix(aliased, 0);
+    auto outcome = detector.probe_prefix(aliased, seeds, 0);
     benchmark::DoNotOptimize(outcome);
   }
 }

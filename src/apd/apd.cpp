@@ -92,17 +92,30 @@ void AliasDetector::reserve_prefixes(std::size_t max_prefixes) {
   outcomes_.reserve(max_prefixes);
 }
 
-PrefixOutcome AliasDetector::probe_prefix(const Prefix& prefix, int day) {
+AliasDetector::FanoutSeeds AliasDetector::fanout_seeds(int day) {
+  FanoutSeeds seeds;
+  for (unsigned nybble = 0; nybble < 16; ++nybble) {
+    seeds[nybble] =
+        Prefix::fanout_seed(nybble, util::hash64(day, nybble, 0xA9D));
+  }
+  return seeds;
+}
+
+PrefixOutcome AliasDetector::probe_prefix(const Prefix& prefix,
+                                          const FanoutSeeds& seeds,
+                                          int day) const {
+  // Fan-out addresses are salted per day, so nothing carries across
+  // days. Within a day the 16 addresses share the prefix's zone-trie
+  // path, which the batch below walks once; address n goes out at
+  // seq n.
+  Address targets[16];
+  for (unsigned nybble = 0; nybble < 16; ++nybble) {
+    targets[nybble] = prefix.seeded_fanout_address(nybble, seeds[nybble]);
+  }
   PrefixOutcome outcome;
   outcome.prefix = prefix;
-  // Fan-out addresses are salted per day, so there is nothing to
-  // cache across days: each probe resolves its address directly.
-  for (unsigned nybble = 0; nybble < 16; ++nybble) {
-    const Address target =
-        prefix.fanout_address(nybble, util::hash64(day, nybble, 0xA9D));
-    outcome.responded +=
-        sim_->probe(target, options_.protocol, day, nybble).responded;
-  }
+  outcome.responded =
+      sim_->count_responding(prefix, targets, 16, options_.protocol, day);
   outcome.aliased = outcome.responded == 16;
   return outcome;
 }
@@ -122,9 +135,10 @@ void AliasDetector::run_day_on_prefixes(const std::vector<Prefix>& prefixes,
   // inside one region of the address space. Outcomes are
   // index-addressed, so the merge below reads them back in input order
   // regardless of scheduling.
+  const FanoutSeeds seeds = fanout_seeds(day);
   auto probe_range = [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
-      outcomes_[i] = probe_prefix(prefixes[i], day);
+      outcomes_[i] = probe_prefix(prefixes[i], seeds, day);
     }
   };
   if (engine_ != nullptr) {

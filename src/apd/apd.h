@@ -15,6 +15,7 @@
 // allocations, which tests/test_day_alloc.cpp and the symlint noalloc
 // policy's day-loop roots both enforce.
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -185,7 +186,17 @@ class AliasDetector {
   /// contract; see CandidateCounter::reserve_for).
   void reserve_prefixes(std::size_t max_prefixes);
 
-  PrefixOutcome probe_prefix(const ipv6::Prefix& prefix, int day);
+  /// The 16 fan-out address seeds of `day`, one per nybble. They do
+  /// not depend on the prefix, so run_day_on_prefixes derives them
+  /// once per batch, on the calling thread.
+  using FanoutSeeds = std::array<std::uint64_t, 16>;
+  static FanoutSeeds fanout_seeds(int day);
+
+  /// One candidate's fan-out: its 16 addresses under `prefix`, counted
+  /// by one NetworkSim::count_responding batch. Reads no mutable
+  /// detector state, so engine workers run it concurrently.
+  PrefixOutcome probe_prefix(const ipv6::Prefix& prefix,
+                             const FanoutSeeds& seeds, int day) const;
 
   /// One APD day over a candidate batch: probe (in index chunks on the
   /// engine workers when one is attached), update windows in input

@@ -40,7 +40,15 @@ std::string Prefix::to_string() const {
 }
 
 Address Prefix::fanout_address(unsigned nybble, std::uint64_t salt) const {
-  Address out = random_address(util::hash64(salt, 0x4fa17ULL, nybble));
+  return seeded_fanout_address(nybble, fanout_seed(nybble, salt));
+}
+
+std::uint64_t Prefix::fanout_seed(unsigned nybble, std::uint64_t salt) {
+  return util::hash64(salt, 0x4fa17ULL, nybble);
+}
+
+Address Prefix::seeded_fanout_address(unsigned nybble, std::uint64_t seed) const {
+  Address out = random_address(seed);
   if (length_ <= 124) {
     // Pin the first nybble below the prefix; nybble index is the count
     // of whole nybbles above it.

@@ -32,6 +32,12 @@ class Prefix {
   /// (Section 5.1's 16-way fan-out).
   Address fanout_address(unsigned nybble, std::uint64_t salt) const;
 
+  /// fanout_address split in two: the seed depends on (nybble, salt)
+  /// only, so a detector probing a whole batch of prefixes with the
+  /// same 16 salts derives the seeds once.
+  static std::uint64_t fanout_seed(unsigned nybble, std::uint64_t salt);
+  Address seeded_fanout_address(unsigned nybble, std::uint64_t seed) const;
+
   /// Uniform pseudo-random address inside the prefix.
   Address random_address(std::uint64_t seed) const;
 

@@ -58,46 +58,69 @@ class PrefixTrie {
   /// value slot goes on a freelist for the next insert — the alias
   /// filter flips prefixes in and out daily, so erase must not leak.
   bool erase(const Prefix& prefix) {
-    std::size_t node = 0;
-    for (unsigned depth = 0; depth < prefix.length(); ++depth) {
-      const unsigned bit = prefix.address().bit(depth) ? 1 : 0;
-      const std::int32_t next = nodes_[node].child[bit];
-      if (next < 0) return false;
-      node = static_cast<std::size_t>(next);
-    }
-    if (nodes_[node].value < 0) return false;
-    values_[static_cast<std::size_t>(nodes_[node].value)] = T{};
-    free_slots_.push_back(nodes_[node].value);
-    nodes_[node].value = -1;
+    const Cursor at = descend(prefix);
+    if (at.node < 0) return false;
+    Node& node = nodes_[static_cast<std::size_t>(at.node)];
+    if (node.value < 0) return false;
+    values_[static_cast<std::size_t>(node.value)] = T{};
+    free_slots_.push_back(node.value);
+    node.value = -1;
     --live_;
     return true;
   }
 
-  /// Value of the most specific prefix containing `a`, or nullptr.
-  const T* longest_match(const Address& a) const {
+  /// Where a walk stands after reading a prefix's bits: the node at
+  /// `depth` (-1 when the path leaves the trie above the prefix
+  /// length) and the value of the longest match above it.
+  struct Cursor {
+    std::int32_t node = 0;
     std::int32_t best = -1;
-    std::size_t node = 0;
-    for (unsigned depth = 0; depth <= 128; ++depth) {
-      if (nodes_[node].value >= 0) best = nodes_[node].value;
-      if (depth == 128) break;
-      const unsigned bit = a.bit(depth) ? 1 : 0;
-      const std::int32_t next = nodes_[node].child[bit];
-      if (next < 0) break;
-      node = static_cast<std::size_t>(next);
+    unsigned depth = 0;
+  };
+
+  /// Walk `prefix`'s bits once. longest_match_from(descend(p), a)
+  /// equals longest_match(a) for every `a` inside p: both walks read
+  /// the same bits above p.length(), so a batch of addresses sharing
+  /// a prefix pays for that part of the path once.
+  Cursor descend(const Prefix& prefix) const {
+    Cursor at;
+    for (; at.depth < prefix.length(); ++at.depth) {
+      const Node& node = nodes_[static_cast<std::size_t>(at.node)];
+      if (node.value >= 0) at.best = node.value;
+      at.node = node.child[prefix.address().bit(at.depth) ? 1 : 0];
+      if (at.node < 0) break;
+    }
+    return at;
+  }
+
+  /// Value of the most specific prefix containing `a`, or nullptr,
+  /// resuming the walk at `from`; `a` must lie inside the prefix
+  /// `from` descended.
+  const T* longest_match_from(const Cursor& from, const Address& a) const {
+    std::int32_t best = from.best;
+    if (from.node >= 0) {
+      std::size_t node = static_cast<std::size_t>(from.node);
+      for (unsigned depth = from.depth;; ++depth) {
+        if (nodes_[node].value >= 0) best = nodes_[node].value;
+        if (depth == 128) break;
+        const std::int32_t next = nodes_[node].child[a.bit(depth) ? 1 : 0];
+        if (next < 0) break;
+        node = static_cast<std::size_t>(next);
+      }
     }
     return best < 0 ? nullptr : &values_[static_cast<std::size_t>(best)];
   }
 
+  /// Value of the most specific prefix containing `a`, or nullptr.
+  const T* longest_match(const Address& a) const {
+    return longest_match_from(Cursor{}, a);
+  }
+
   /// Exact-prefix lookup, or nullptr if that exact prefix was never inserted.
   const T* exact_match(const Prefix& prefix) const {
-    std::size_t node = 0;
-    for (unsigned depth = 0; depth < prefix.length(); ++depth) {
-      const unsigned bit = prefix.address().bit(depth) ? 1 : 0;
-      const std::int32_t next = nodes_[node].child[bit];
-      if (next < 0) return nullptr;
-      node = static_cast<std::size_t>(next);
-    }
-    const std::int32_t v = nodes_[node].value;
+    const Cursor at = descend(prefix);
+    if (at.node < 0) return nullptr;
+    const std::int32_t v = nodes_[static_cast<std::size_t>(at.node)].value;
     return v < 0 ? nullptr : &values_[static_cast<std::size_t>(v)];
   }
 

@@ -105,6 +105,39 @@ bool resolved_responds(const ZoneProbeParams& zp, std::uint8_t flags,
   return true;
 }
 
+// Does `a`, inside `zone`, answer `protocol` at (day, seq)? The
+// responded predicate probe() and count_responding() share, plus what
+// probe()'s machine image keys on once it does.
+struct Answer {
+  bool responded = false;
+  bool aliased = false;         // aliased space, outside any carve-out
+  std::uint32_t slot = 0;       // honest space: the live host slot
+  std::uint64_t addr_hash = 0;  // aliased space: the per-address hash
+};
+
+Answer answer_of(const Zone& zone, const ZoneProbeParams& zp, const Address& a,
+                 net::Protocol protocol, int day, unsigned seq) {
+  Answer out;
+  const ZoneConfig& config = zone.config();
+  out.aliased =
+      config.aliased && !(config.carveout && config.carveout->contains(a));
+  if (out.aliased) {
+    if (!net::responds_to(config.machine_service, protocol)) return out;
+    out.addr_hash = hash64(a.hi, a.lo, 0xAD);
+    out.responded = resolved_responds(zp, ResolvedTarget::kAliased, 0,
+                                      out.addr_hash, protocol, day, seq);
+    return out;
+  }
+  // Honest space: alias carve-out members land here too and die on
+  // slot_of (aliased zones never invert), exactly like resolve().
+  const auto slot = zone.slot_of(a, day);
+  if (!slot || *slot >= config.host_count) return out;
+  if (!net::responds_to(host_service_mask(zone, *slot), protocol)) return out;
+  out.slot = *slot;
+  out.responded = resolved_responds(zp, 0, *slot, 0, protocol, day, seq);
+  return out;
+}
+
 ZoneProbeParams params_of(const Zone& zone) {
   ZoneProbeParams zp;
   zp.key = zone.key();
@@ -174,51 +207,56 @@ ProbeResult NetworkSim::probe(const Address& a, net::Protocol protocol, int day,
   ProbeResult out;
   const Zone* zone = universe_->zone_at(a);
   if (zone == nullptr) return out;
-  const ZoneConfig& config = zone->config();
-  const std::uint64_t addr_hash = hash64(a.hi, a.lo, 0xAD);
-  const std::uint64_t t = probe_time(day, seq);
-  const bool timestamps = config.uniformity != UniformityMode::kUniformNoTs;
   const ZoneProbeParams& zp =
       zone_params_[static_cast<std::size_t>(zone - universe_->zones().data())];
+  const Answer answer = answer_of(*zone, zp, a, protocol, day, seq);
+  if (!answer.responded) return out;
+  out.responded = true;
+  const ZoneConfig& config = zone->config();
+  const std::uint64_t t = probe_time(day, seq);
+  const bool timestamps = config.uniformity != UniformityMode::kUniformNoTs;
 
-  const bool aliased_here =
-      config.aliased && !(config.carveout && config.carveout->contains(a));
-  if (aliased_here) {
-    if (!net::responds_to(config.machine_service, protocol)) return out;
-    if (!resolved_responds(zp, ResolvedTarget::kAliased, 0, addr_hash, protocol,
-                           day, seq)) {
-      return out;
-    }
-    out.responded = true;
+  if (answer.aliased) {
     fill_machine_image(zone->key(), timestamps, t, &out);
     if (config.proxy_wsize) {
       // A TCP proxy terminates each flow with its own window.
       out.wsize = static_cast<std::uint16_t>(
-          14600 + 1460 * (hash64(addr_hash, 0x90) % 8));
+          14600 + 1460 * (hash64(answer.addr_hash, 0x90) % 8));
     }
     // Path length varies behind ~30 % of aliased prefixes (the raw-TTL
     // inconsistency the iTTL normalization removes).
     unsigned hops = 6 + static_cast<unsigned>(hash64(zone->key(), 0xB0) % 18);
-    if (hash_unit(zone->key(), 0xB1) < 0.3 && (addr_hash & 1) != 0) ++hops;
+    if (hash_unit(zone->key(), 0xB1) < 0.3 && (answer.addr_hash & 1) != 0) ++hops;
     out.ttl = static_cast<std::uint8_t>(out.ittl - hops);
     return out;
   }
 
-  const auto slot = zone->slot_of(a, day);
-  if (!slot || *slot >= config.host_count) return out;
-  if (!net::responds_to(host_service_mask(*zone, *slot), protocol)) return out;
-  if (!resolved_responds(zp, 0, *slot, addr_hash, protocol, day, seq)) {
-    return out;
-  }
-  out.responded = true;
   const bool uniform = config.uniformity != UniformityMode::kDiverse;
   const std::uint64_t machine =
-      uniform ? zone->key() : hash64(zone->key(), *slot, 0x3A);
+      uniform ? zone->key() : hash64(zone->key(), answer.slot, 0x3A);
   fill_machine_image(machine, timestamps, t, &out);
   unsigned hops = 6 + static_cast<unsigned>(hash64(zone->key(), 0xB0) % 18);
-  if (!uniform) hops += static_cast<unsigned>(hash64(zone->key(), *slot, 0xB2) % 3);
+  if (!uniform) {
+    hops += static_cast<unsigned>(hash64(zone->key(), answer.slot, 0xB2) % 3);
+  }
   out.ttl = static_cast<std::uint8_t>(out.ittl - hops);
   return out;
+}
+
+unsigned NetworkSim::count_responding(const ipv6::Prefix& prefix,
+                                      const Address* addrs, unsigned count,
+                                      net::Protocol protocol, int day) {
+  probes_sent_.fetch_add(count, std::memory_order_relaxed);
+  const Universe::ZoneCursor cursor = universe_->zone_cursor(prefix);
+  unsigned responded = 0;
+  for (unsigned i = 0; i < count; ++i) {
+    const Zone* zone = universe_->zone_at(cursor, addrs[i]);
+    if (zone == nullptr) continue;
+    const ZoneProbeParams& zp =
+        zone_params_[static_cast<std::size_t>(zone - universe_->zones().data())];
+    responded += answer_of(*zone, zp, addrs[i], protocol, day, i).responded;
+  }
+  return responded;
 }
 
 void NetworkSim::probe_resolved_mask(const ResolvedColumns& t,

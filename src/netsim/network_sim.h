@@ -4,11 +4,18 @@
 // fingerprint surface (iTTL, options, wscale, MSS, wsize, timestamps)
 // the alias-resolution analyses of Section 5.4 need.
 //
-// Two entry points share one response predicate:
+// Three entry points share one response predicate:
 //  - probe(): resolve the target through the universe (zone trie, slot
 //    inversion, service mask) on every call and, when it answers,
-//    derive its machine image. The model's definition: the APD
-//    fan-out, the fingerprint analyses and the test oracles use it.
+//    derive its machine image. The model's definition: the
+//    fingerprint analyses and the test oracles use it.
+//  - count_responding(): the APD fan-out. How many of a batch of
+//    addresses inside one prefix answer, at seq 0, 1, ...: one
+//    zone-trie descent to the prefix, then only the bits below it per
+//    address, the responded predicate only (no machine image), and
+//    one counter add for the batch. The count equals the sum of
+//    probe().responded (tests/test_probe_kernel.cpp, and every day of
+//    tests/day_oracle.h).
 //  - resolve() + probe_resolved_mask(): hoist what is immutable per
 //    address (per rotation epoch) into a ResolvedTarget record once,
 //    then answer each scan probe's responded bit from the cached
@@ -23,6 +30,7 @@
 #include <vector>
 
 #include "ipv6/address.h"
+#include "ipv6/prefix.h"
 #include "net/protocol.h"
 #include "netsim/probe_kernel.h"
 #include "netsim/universe.h"
@@ -106,6 +114,16 @@ class NetworkSim {
   ProbeResult probe(const ipv6::Address& a, net::Protocol protocol, int day,
                     unsigned seq = 0);
 
+  /// APD fan-out batch: how many of `addrs[0..count)`, all inside
+  /// `prefix`, answer `protocol` at `day`, address i at seq i. Equals
+  /// the sum of probe(addrs[i], protocol, day, i).responded and
+  /// counts `count` probes, but descends the zone trie once for the
+  /// whole batch and derives no machine image. Pure apart from that
+  /// one counter add, so engine workers may call it concurrently.
+  unsigned count_responding(const ipv6::Prefix& prefix,
+                            const ipv6::Address* addrs, unsigned count,
+                            net::Protocol protocol, int day);
+
   /// Resolve `a` once at `day`'s rotation epoch. Pure and
   /// thread-safe; the record answers probe_resolved_mask for any
   /// (day, seq) whose epoch matches.
@@ -144,11 +162,12 @@ class NetworkSim {
   // acquire/release on ThreadPool::remaining_ already orders the
   // adds. Atomicity alone keeps the total exact; the schedule-
   // independent sum is what keeps output byte-identical across
-  // thread counts. Every probe writes it from every worker, so it
-  // gets a cache line of its own: sharing one with the read-only
-  // fields above, which every probe reads, made a 4-thread campaign
-  // ~30% slower whenever the sim started on a line boundary (4-vCPU
-  // x86-64 VM).
+  // thread counts. Every worker writes it, once per fan-out prefix
+  // and once per scan batch, so it gets a cache line of its own:
+  // sharing one with the read-only fields above, which every probe
+  // reads, made a 4-thread campaign ~30% slower whenever the sim
+  // started on a line boundary (4-vCPU x86-64 VM, measured while each
+  // fan-out probe added one).
   alignas(64) std::atomic<std::uint64_t> probes_sent_{0};
 };
 

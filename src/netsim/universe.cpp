@@ -190,8 +190,8 @@ Universe::Universe(const UniverseParams& params, engine::Engine* engine)
   build(engine);
 }
 
-const Zone* Universe::zone_at(const Address& a) const {
-  const std::uint32_t* index = zone_trie_.longest_match(a);
+const Zone* Universe::zone_at(const ZoneCursor& cursor, const Address& a) const {
+  const std::uint32_t* index = zone_trie_.longest_match_from(cursor, a);
   return index == nullptr ? nullptr : &zones_[*index];
 }
 

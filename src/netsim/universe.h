@@ -148,7 +148,18 @@ class Universe {
   const std::vector<Zone>& zones() const { return zones_; }
   const BgpTable& bgp() const { return bgp_; }
 
-  const Zone* zone_at(const ipv6::Address& a) const;
+  /// The zone-trie walk stopped at a prefix: zone_at(zone_cursor(p), a)
+  /// equals zone_at(a) for every `a` inside p and walks only the bits
+  /// below p, so the APD fan-out's 16 addresses under one prefix share
+  /// one descent.
+  using ZoneCursor = ipv6::PrefixTrie<std::uint32_t>::Cursor;
+  ZoneCursor zone_cursor(const ipv6::Prefix& prefix) const {
+    return zone_trie_.descend(prefix);
+  }
+  const Zone* zone_at(const ZoneCursor& cursor, const ipv6::Address& a) const;
+  const Zone* zone_at(const ipv6::Address& a) const {
+    return zone_at(ZoneCursor{}, a);
+  }
 
   const std::vector<ipv6::Prefix>& true_aliased_prefixes() const {
     return aliased_prefixes_;

@@ -7,6 +7,9 @@
 //  - The APD batch streamed through ResultSink::on_fanout equals the
 //    full recount AliasDetector::candidate_prefixes(targets()), in
 //    order (the incremental CandidateCounter must never drift).
+//  - Each streamed fan-out count equals NetworkSim::probe over the
+//    prefix's 16 fan-out addresses at seq = nybble, on the reference
+//    NetworkSim below.
 //  - filter().prefixes() equals detector().current_aliased().
 //  - Every row's aliased flag equals a linear Prefix::contains scan
 //    over current_aliased().
@@ -41,17 +44,20 @@
 #include "scan/probe_schedule.h"
 #include "scan/scan_frame.h"
 #include "test_main.h"
+#include "util/rng.h"
 
 namespace v6h::test {
 
 /// Records what one run_day streamed through its sink.
 struct DayRecord final : scan::ResultSink {
   std::vector<ipv6::Prefix> fanout;
+  std::vector<unsigned> responded;  // fanout[k]'s count of 16
   std::vector<std::pair<std::uint32_t, net::ProtocolMask>> rows;
   std::size_t day_ends = 0;
 
-  void on_fanout(const ipv6::Prefix& prefix, unsigned, bool) override {
+  void on_fanout(const ipv6::Prefix& prefix, unsigned count, bool) override {
     fanout.push_back(prefix);
+    responded.push_back(count);
   }
   void on_target(std::uint32_t row, net::ProtocolMask mask) override {
     rows.emplace_back(row, mask);
@@ -75,6 +81,21 @@ inline hitlist::Pipeline::DayReport run_checked_day(hitlist::Pipeline& pipeline,
 
   const auto& detector = pipeline.detector();
   CHECK(record.fanout == detector.candidate_prefixes(pipeline.targets()));
+  // Each fan-out count against its 16 addresses probed one by one, at
+  // seq = nybble. These reference probes stay outside the counter
+  // window the probe-count check below reads.
+  const net::Protocol apd_protocol = pipeline.options().apd.protocol;
+  std::size_t fanout_mismatches = 0;
+  for (std::size_t k = 0; k < record.fanout.size(); ++k) {
+    unsigned expected = 0;
+    for (unsigned nybble = 0; nybble < 16; ++nybble) {
+      const ipv6::Address target = record.fanout[k].fanout_address(
+          nybble, util::hash64(day, nybble, 0xA9D));
+      expected += reference.probe(target, apd_protocol, day, nybble).responded;
+    }
+    fanout_mismatches += record.responded[k] != expected;
+  }
+  CHECK_EQ(fanout_mismatches, 0u);
   const std::vector<ipv6::Prefix> aliased = detector.current_aliased();
   CHECK(pipeline.filter().prefixes() == aliased);
   CHECK_EQ(report.aliased_prefixes, aliased.size());

@@ -8,14 +8,24 @@
 // boundary and for sparse row subsets. Whole campaigns are covered by
 // tests/test_scan_equivalence.cpp, whose every scanned mask must equal
 // NetworkSim::probe.
+//
+// The APD fan-out batch (count_responding) is the other batch form of
+// probe(): over zone prefixes, /48../112 prefixes around the same
+// address classes, /32 announcements with zones below them, and alias
+// carve-outs with their aliased parents, its count must equal the sum
+// of 16 probe().responded and it must count exactly 16 probes.
 
+#include <algorithm>
+#include <cstdio>
 #include <vector>
 
+#include "ipv6/prefix.h"
 #include "netsim/network_sim.h"
 #include "netsim/universe.h"
 #include "probe_targets.h"
 #include "scan/resolved_table.h"
 #include "test_main.h"
+#include "util/rng.h"
 
 using namespace v6h;
 
@@ -46,6 +56,76 @@ bool masks_agree(netsim::NetworkSim& sim, const netsim::ResolvedColumns& cols,
   return expected == branchless;
 }
 
+// Every prefix class the fan-out batch can meet: each sampled zone's
+// own prefix, /48, /64, /96 and /112 prefixes around every target
+// (live, dead, rotating, carve-out and unrouted addresses), the /32
+// announcements that hold zones, and each alias carve-out with its
+// aliased parent.
+std::vector<ipv6::Prefix> fanout_prefixes(
+    const netsim::Universe& universe,
+    const std::vector<ipv6::Address>& targets) {
+  std::vector<ipv6::Prefix> out;
+  std::vector<ipv6::Prefix> announcements;
+  const auto& zones = universe.zones();
+  for (std::size_t z = 0; z < zones.size(); ++z) {
+    const auto& config = zones[z].config();
+    if (z % 3 == 0) out.push_back(config.prefix);
+    if (config.carveout) {
+      out.push_back(*config.carveout);
+      out.push_back(config.prefix);
+    }
+    const auto* announcement = universe.bgp().lookup(config.prefix.address());
+    if (announcement != nullptr && announcement->prefix.length() == 32 &&
+        config.prefix.length() > 32) {
+      announcements.push_back(announcement->prefix);
+    }
+  }
+  std::sort(announcements.begin(), announcements.end());
+  announcements.erase(std::unique(announcements.begin(), announcements.end()),
+                      announcements.end());
+  out.insert(out.end(), announcements.begin(), announcements.end());
+  for (const auto& a : targets) {
+    for (const std::uint8_t length : {48, 64, 96, 112}) {
+      out.emplace_back(a, length);
+    }
+  }
+  return out;
+}
+
+struct FanoutTally {
+  std::size_t calls = 0;
+  std::size_t count_mismatches = 0;  // batch count != sum of probe()
+  std::size_t probe_miscounts = 0;   // probes_sent() did not grow by 16
+  std::size_t none = 0;              // 0 of 16 answered
+  std::size_t some = 0;              // 1..15 of 16
+  std::size_t all = 0;               // 16 of 16
+};
+
+// One fan-out batch under `prefix` against 16 probe() calls on the
+// same addresses at seq = nybble.
+void check_fanout(netsim::NetworkSim& sim, const ipv6::Prefix& prefix,
+                  net::Protocol protocol, int day, FanoutTally& tally) {
+  ipv6::Address addrs[16];
+  unsigned expected = 0;
+  for (unsigned nybble = 0; nybble < 16; ++nybble) {
+    addrs[nybble] =
+        prefix.fanout_address(nybble, util::hash64(day, nybble, 0xfa17));
+    expected += sim.probe(addrs[nybble], protocol, day, nybble).responded;
+  }
+  const std::uint64_t before = sim.probes_sent();
+  const unsigned counted = sim.count_responding(prefix, addrs, 16, protocol, day);
+  tally.probe_miscounts += sim.probes_sent() - before != 16;
+  tally.count_mismatches += counted != expected;
+  ++tally.calls;
+  if (expected == 0) {
+    ++tally.none;
+  } else if (expected == 16) {
+    ++tally.all;
+  } else {
+    ++tally.some;
+  }
+}
+
 void run_tests() {
   netsim::UniverseParams params;
   params.seed = 7;
@@ -56,8 +136,17 @@ void run_tests() {
 
   std::size_t batches = 0;
   std::size_t disagreements = 0;
+  FanoutTally fanout;
+  std::size_t fanout_prefix_count = 0;
   for (const int day : {0, 13, 61, 200}) {
     const auto targets = probe_targets(universe, day);
+    const auto prefixes = fanout_prefixes(universe, targets);
+    fanout_prefix_count += prefixes.size();
+    for (const auto protocol : net::kAllProtocols) {
+      for (const auto& prefix : prefixes) {
+        check_fanout(sim, prefix, protocol, day, fanout);
+      }
+    }
     // Several tiles plus a ragged tail, or the batch shapes below
     // stop meaning anything.
     CHECK(targets.size() > 300);
@@ -91,6 +180,16 @@ void run_tests() {
   }
   CHECK_EQ(disagreements, 0u);
   CHECK(batches == 4u * net::kAllProtocols.size() * 2u * 3u);
+
+  CHECK_EQ(fanout.count_mismatches, 0u);
+  CHECK_EQ(fanout.probe_miscounts, 0u);
+  CHECK_EQ(fanout.calls, fanout_prefix_count * net::kAllProtocols.size());
+  // The sweep reaches silent, partial and fully answering prefixes.
+  CHECK(fanout.none > 0);
+  CHECK(fanout.some > 0);
+  CHECK(fanout.all > 0);
+  std::printf("fan-out: %zu batches, %zu silent, %zu partial, %zu full\n",
+              fanout.calls, fanout.none, fanout.some, fanout.all);
 }
 
 }  // namespace

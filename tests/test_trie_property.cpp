@@ -1,8 +1,11 @@
 // Randomized property test for ipv6::PrefixTrie: insert 10k random
-// prefixes with a fixed-seed LCG and check longest_match against a
-// brute-force linear scan, plus the /0, /128, and duplicate-insert
-// edge cases and the size()/empty() regression for the AliasFilter
-// hoist.
+// prefixes with a fixed-seed LCG and check longest_match, and the
+// resumed walk longest_match_from(descend(p), a) for addresses inside
+// p, against a brute-force linear scan; then erase half the prefixes
+// and re-insert some (the alias filter's daily churn) and check
+// longest_match, the resumed walk and exact_match again. Plus the /0,
+// /128, and duplicate-insert edge cases and the size()/empty()
+// regression for the AliasFilter hoist.
 
 #include <map>
 #include <vector>
@@ -44,15 +47,44 @@ const int* brute_force(const std::map<Prefix, int>& model, const Address& a) {
   return best;
 }
 
-void check_against_model(const PrefixTrie<int>& trie,
-                         const std::map<Prefix, int>& model,
-                         const Address& a) {
+// `got` must be the value of the model's longest prefix containing `a`.
+void check_match(const int* got, const std::map<Prefix, int>& model,
+                 const Address& a) {
   const int* expected = brute_force(model, a);
-  const int* got = trie.longest_match(a);
   if (expected == nullptr) {
     CHECK(got == nullptr);
   } else {
     CHECK(got != nullptr && *got == *expected);
+  }
+}
+
+void check_against_model(const PrefixTrie<int>& trie,
+                         const std::map<Prefix, int>& model,
+                         const Address& a) {
+  check_match(trie.longest_match(a), model, a);
+}
+
+// One descent to `p`, then the resumed walk for addresses inside p.
+// Returns whether the path left the trie above p's length.
+bool check_cursor(const PrefixTrie<int>& trie,
+                  const std::map<Prefix, int>& model, const Prefix& p,
+                  Lcg& lcg) {
+  const auto cursor = trie.descend(p);
+  for (int k = 0; k < 2; ++k) {
+    const Address a = p.random_address(lcg.next());
+    check_match(trie.longest_match_from(cursor, a), model, a);
+  }
+  return cursor.node < 0;
+}
+
+void check_exact(const PrefixTrie<int>& trie, const std::map<Prefix, int>& model,
+                 const Prefix& p) {
+  const int* got = trie.exact_match(p);
+  const auto it = model.find(p);
+  if (it == model.end()) {
+    CHECK(got == nullptr);
+  } else {
+    CHECK(got != nullptr && *got == it->second);
   }
 }
 
@@ -145,6 +177,57 @@ void run_tests() {
     probes.push_back(edge);
   }
   for (const auto& a : probes) check_against_model(trie, model, a);
+
+  // Cursor prefixes: inserted ones (their path always exists), random
+  // ones of any length, and long random ones, whose path leaves the
+  // trie above their length.
+  std::vector<Prefix> cursor_prefixes;
+  for (int i = 0; i < 200; ++i) {
+    cursor_prefixes.push_back(inserted[lcg.next() % inserted.size()]);
+    cursor_prefixes.emplace_back(Address::from_u64(lcg.next(), lcg.next()),
+                                 static_cast<std::uint8_t>(lcg.next() % 129));
+    cursor_prefixes.emplace_back(
+        Address::from_u64(lcg.next(), lcg.next()),
+        static_cast<std::uint8_t>(96 + lcg.next() % 33));
+  }
+  auto check_cursors = [&] {
+    std::size_t left_trie = 0;
+    std::size_t inserted_left_trie = 0;
+    for (std::size_t i = 0; i < cursor_prefixes.size(); ++i) {
+      const bool left = check_cursor(trie, model, cursor_prefixes[i], lcg);
+      left_trie += left;
+      inserted_left_trie += left && i % 3 == 0;
+    }
+    CHECK(left_trie > 0);
+    CHECK_EQ(inserted_left_trie, 0u);
+  };
+  check_cursors();
+
+  // Erase churn, as the alias filter drops prefixes that turn clean:
+  // erase every other inserted prefix, then re-insert half of those
+  // with new values (reusing freed slots), checking lookups, the
+  // resumed walk and exact_match against the model after each step.
+  auto check_all = [&] {
+    CHECK_EQ(trie.size(), model.size());
+    CHECK_EQ(trie.empty(), model.empty());
+    for (const auto& a : probes) check_against_model(trie, model, a);
+    check_cursors();
+    for (const auto& p : inserted) check_exact(trie, model, p);
+  };
+  std::size_t erased = 0;
+  for (std::size_t i = 0; i < inserted.size(); i += 2) {
+    const bool present = model.erase(inserted[i]) == 1;
+    CHECK_EQ(trie.erase(inserted[i]), present);
+    erased += present;
+  }
+  CHECK(erased > inserted.size() / 3);
+  CHECK(!trie.erase(inserted[0]));  // already gone
+  check_all();
+  for (std::size_t i = 0; i < inserted.size(); i += 4) {
+    trie.insert(inserted[i], static_cast<int>(i) + 500000);
+    model[inserted[i]] = static_cast<int>(i) + 500000;
+  }
+  check_all();
 
   // Duplicate re-insert of every prefix: size stays, values move.
   for (std::size_t i = 0; i < inserted.size(); ++i) {
