@@ -249,14 +249,12 @@ inline void compare(const char* label, const std::string& paper,
 
 /// Assemble the cumulative hitlist by running the pipeline for
 /// `days` daily cycles ending at the growth horizon. The returned
-/// report borrows the pipeline's frame (last day's scan); a sink, if
-/// given, streams every day's APD fan-out counters and scan rows.
+/// report borrows the pipeline's frame (last day's scan).
 inline hitlist::Pipeline::DayReport run_pipeline_days(
-    hitlist::Pipeline& pipeline, const BenchArgs& args,
-    scan::ResultSink* sink = nullptr) {
+    hitlist::Pipeline& pipeline, const BenchArgs& args) {
   hitlist::Pipeline::DayReport report;
   for (int i = args.days - 1; i >= 0; --i) {
-    report = pipeline.run_day(args.horizon - i, sink);
+    report = pipeline.run_day(args.horizon - i);
   }
   return report;
 }

@@ -11,48 +11,6 @@
 
 using namespace v6h;
 
-namespace {
-
-// Streaming zesplot accumulator for the unfiltered full-hitlist scan:
-// count ICMP responses per announced prefix as rows complete, without
-// holding any materialized copy of the scan.
-class PrefixResponseSink final : public scan::ResultSink {
- public:
-  PrefixResponseSink(const ipv6::Address* addrs, const netsim::BgpTable& bgp)
-      : addrs_(addrs), bgp_(&bgp) {}
-
-  void on_target(std::uint32_t row, net::ProtocolMask mask) override {
-    if (!net::responds_to(mask, net::Protocol::kIcmp)) return;
-    if (const auto* hit = bgp_->lookup(addrs_[row])) {
-      responses_.add(hit->prefix);
-    }
-  }
-
-  const util::Counter<ipv6::Prefix>& responses() const { return responses_; }
-
- private:
-  const ipv6::Address* addrs_;
-  const netsim::BgpTable* bgp_;
-  util::Counter<ipv6::Prefix> responses_;
-};
-
-// Streaming APD consumer: collect the prefixes the detector judged
-// aliased straight from the fan-out counter stream.
-class AliasedPrefixSink final : public scan::ResultSink {
- public:
-  void on_fanout(const ipv6::Prefix& prefix, unsigned responded,
-                 bool aliased) override {
-    (void)responded;
-    if (aliased) aliased_.push_back(prefix);
-  }
-  const std::vector<ipv6::Prefix>& aliased() const { return aliased_; }
-
- private:
-  std::vector<ipv6::Prefix> aliased_;
-};
-
-}  // namespace
-
 int main(int argc, char** argv) {
   const auto args = bench::BenchArgs::parse(argc, argv);
   bench::header("Figure 5: ICMP responses without APD + detected aliased prefixes");
@@ -65,17 +23,25 @@ int main(int argc, char** argv) {
   hitlist::Pipeline pipeline(universe, sim, options, &eng);
   bench::run_pipeline_days(pipeline, args);
 
-  // (a) probe EVERYTHING (no APD filter) on ICMP, streaming the
-  // per-prefix response counts off the scan instead of materializing
-  // a report over the full hitlist.
+  // (a) probe EVERYTHING (no APD filter) on ICMP, then count the
+  // responses per announced prefix off the frame's admitted rows.
   scan::ScanEngine scan_engine(sim, &eng);
   scan::ProbeSchedule icmp_only;
   icmp_only.protocols = {net::Protocol::kIcmp};
-  PrefixResponseSink response_sink(pipeline.targets().data(), universe.bgp());
   scan::ScanFrame unfiltered_frame;
   scan_engine.scan_addresses(pipeline.targets(), args.horizon, icmp_only,
-                             &unfiltered_frame, &response_sink);
-  const util::Counter<ipv6::Prefix>& responses = response_sink.responses();
+                             &unfiltered_frame);
+  util::Counter<ipv6::Prefix> responses;
+  for (const auto row : unfiltered_frame.rows()) {
+    if (!net::responds_to(unfiltered_frame.mask_of_row(row),
+                          net::Protocol::kIcmp)) {
+      continue;
+    }
+    if (const auto* hit =
+            universe.bgp().lookup(unfiltered_frame.address_of_row(row))) {
+      responses.add(hit->prefix);
+    }
+  }
 
   std::map<ipv6::Prefix, std::uint32_t> asn_of;
   for (const auto& ann : universe.bgp().announcements()) asn_of[ann.prefix] = ann.asn;
@@ -97,13 +63,13 @@ int main(int argc, char** argv) {
   for (const auto& [prefix, count] : responses.raw()) {
     announced_with_responses.push_back(prefix);
   }
-  AliasedPrefixSink apd_sink;
+  std::vector<ipv6::Prefix> became_aliased, became_clean;
   bgp_detector.run_day_on_prefixes(announced_with_responses, args.horizon,
-                                   &apd_sink);
+                                   &became_aliased, &became_clean);
   std::vector<zesplot::Item> items_b;
   std::size_t aliased_count = 0;
   std::map<std::uint8_t, std::size_t> aliased_lengths;
-  for (const auto& prefix : apd_sink.aliased()) {
+  for (const auto& prefix : bgp_detector.current_aliased()) {
     ++aliased_count;
     ++aliased_lengths[prefix.length()];
     items_b.push_back({prefix, asn_of[prefix], responses.raw().at(prefix)});

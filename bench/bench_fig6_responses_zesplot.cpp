@@ -8,46 +8,6 @@
 
 using namespace v6h;
 
-namespace {
-
-// Streaming zesplot accumulator: collects the day's responsive
-// addresses from ResultSink::on_target as the scan completes, instead
-// of materializing a per-target report each day. Double-buffered so
-// the last completed day survives the next day's stream.
-class ResponseAccumulator final : public scan::ResultSink {
- public:
-  explicit ResponseAccumulator(const hitlist::Pipeline& pipeline)
-      : pipeline_(&pipeline) {}
-
-  void on_target(std::uint32_t row, net::ProtocolMask mask) override {
-    if (mask == 0) return;
-    const auto& address = pipeline_->store().address(row);
-    current_responsive_.push_back(address);
-    if (net::responds_to(mask, net::Protocol::kIcmp)) {
-      current_icmp_.push_back(address);
-    }
-  }
-
-  void on_day_end(const scan::ScanFrame&) override {
-    responsive_.swap(current_responsive_);
-    icmp_responsive_.swap(current_icmp_);
-    current_responsive_.clear();
-    current_icmp_.clear();
-  }
-
-  const std::vector<ipv6::Address>& responsive() const { return responsive_; }
-  const std::vector<ipv6::Address>& icmp_responsive() const {
-    return icmp_responsive_;
-  }
-
- private:
-  const hitlist::Pipeline* pipeline_;
-  std::vector<ipv6::Address> current_responsive_, current_icmp_;
-  std::vector<ipv6::Address> responsive_, icmp_responsive_;
-};
-
-}  // namespace
-
 int main(int argc, char** argv) {
   const auto args = bench::BenchArgs::parse(argc, argv);
   bench::header("Figure 6 / Section 6.1: ICMP-responsive addresses per BGP prefix");
@@ -56,11 +16,19 @@ int main(int argc, char** argv) {
   const netsim::Universe universe(args.universe_params(), &eng);
   netsim::NetworkSim sim(universe);
   hitlist::Pipeline pipeline(universe, sim, args.pipeline_options(), &eng);
-  ResponseAccumulator accumulator(pipeline);
-  const auto report = bench::run_pipeline_days(pipeline, args, &accumulator);
+  const auto report = bench::run_pipeline_days(pipeline, args);
 
-  const auto& responsive = accumulator.responsive();
-  const auto& icmp_responsive = accumulator.icmp_responsive();
+  // The last day's responsive addresses, read off its scan frame.
+  const scan::ScanFrame& frame = report.scan();
+  std::vector<ipv6::Address> responsive, icmp_responsive;
+  for (const auto row : frame.rows()) {
+    const net::ProtocolMask mask = frame.mask_of_row(row);
+    if (mask == 0) continue;
+    responsive.push_back(frame.address_of_row(row));
+    if (net::responds_to(mask, net::Protocol::kIcmp)) {
+      icmp_responsive.push_back(frame.address_of_row(row));
+    }
+  }
   const auto summary = hitlist::summarize_distribution(responsive, universe.bgp());
   const auto by_prefix = hitlist::prefix_counter(icmp_responsive, universe.bgp());
 

@@ -9,29 +9,6 @@
 
 using namespace v6h;
 
-namespace {
-
-// Streaming Figure-7 consumer: the joint/marginal counts accumulate
-// from ResultSink::on_target per scanned row — no materialized
-// report. Each day's tally replaces the previous one at on_day_end,
-// leaving the final day's matrix.
-class TallySink final : public scan::ResultSink {
- public:
-  void on_target(std::uint32_t, net::ProtocolMask mask) override {
-    current_.add(mask);
-  }
-  void on_day_end(const scan::ScanFrame&) override {
-    done_ = current_;
-    current_.reset();
-  }
-  const probe::CrossProtocolTally& tally() const { return done_; }
-
- private:
-  probe::CrossProtocolTally current_, done_;
-};
-
-}  // namespace
-
 int main(int argc, char** argv) {
   const auto args = bench::BenchArgs::parse(argc, argv);
   bench::header("Figure 7: cross-protocol conditional responsiveness");
@@ -40,12 +17,15 @@ int main(int argc, char** argv) {
   const netsim::Universe universe(args.universe_params(), &eng);
   netsim::NetworkSim sim(universe);
   hitlist::Pipeline pipeline(universe, sim, args.pipeline_options(), &eng);
-  TallySink sink;
-  bench::run_pipeline_days(pipeline, args, &sink);
+  const auto report = bench::run_pipeline_days(pipeline, args);
   std::printf("scanned protocols: %s\n",
               scan::protocols_to_string(args.protocols).c_str());
 
-  const auto matrix = sink.tally().matrix();
+  // The last day's joint/marginal counts, one mask per scanned row.
+  const scan::ScanFrame& frame = report.scan();
+  probe::CrossProtocolTally tally;
+  for (const auto row : frame.rows()) tally.add(frame.mask_of_row(row));
+  const auto matrix = tally.matrix();
 
   // Paper matrix (rows = Y, columns = X, Pr[Y|X]); order:
   // ICMP, TCP/80, TCP/443, UDP/53, UDP/443.

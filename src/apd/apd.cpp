@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "obs/obs.h"
-#include "scan/scan_frame.h"
 #include "util/rng.h"
 
 namespace v6h::apd {
@@ -121,13 +120,15 @@ PrefixOutcome AliasDetector::probe_prefix(const Prefix& prefix,
 }
 
 void AliasDetector::run_day_on_prefixes(const std::vector<Prefix>& prefixes,
-                                        int day, scan::ResultSink* sink,
-                                        DayOutcome& out) {
+                                        int day,
+                                        std::vector<Prefix>* became_aliased,
+                                        std::vector<Prefix>* became_clean) {
   // Covers the fan-out probes AND the serial window merge; purely
   // observational (lane-local stores + clock reads), so verdicts are
   // identical with obs_ attached or null.
   obs::StageSpan span(obs_, obs::Stage::kApd);
-  out.clear();
+  became_aliased->clear();
+  became_clean->clear();
   const std::size_t n = prefixes.size();
   outcomes_.clear();
   outcomes_.resize(n);
@@ -149,7 +150,6 @@ void AliasDetector::run_day_on_prefixes(const std::vector<Prefix>& prefixes,
   // Deterministic merge: windows update serially in input order.
   for (std::size_t i = 0; i < n; ++i) {
     const Prefix& prefix = prefixes[i];
-    out.probes += 16;
     auto [entry, inserted] = state_.try_emplace(prefix);
     if (inserted) entry->second.window = SlidingVerdict(options_.window_days);
     SlidingVerdict& window = entry->second.window;
@@ -161,16 +161,10 @@ void AliasDetector::run_day_on_prefixes(const std::vector<Prefix>& prefixes,
     if (window.update(outcomes_[i].aliased)) ++entry->second.flips;
     const bool current = window.verdict();
     if (current != previous) {
-      (current ? out.became_aliased : out.became_clean).push_back(prefix);
-    }
-    if (current) out.aliased.push_back(prefix);
-    if (sink != nullptr) {
-      sink->on_fanout(prefix, outcomes_[i].responded, current);
+      (current ? became_aliased : became_clean)->push_back(prefix);
     }
   }
-  if (obs_ != nullptr) {
-    obs_->registry().add(obs_->core().apd_probes, out.probes);
-  }
+  if (obs_ != nullptr) obs_->registry().add(obs_->core().apd_probes, 16 * n);
 }
 
 std::vector<Prefix> AliasDetector::candidate_prefixes(

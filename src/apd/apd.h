@@ -9,11 +9,12 @@
 // Steady-state allocation discipline: the persistent per-prefix state
 // lives in flat open-addressing tables (util::FlatMap) instead of
 // node containers, the sliding window is a fixed bit-ring instead of
-// a deque, and every per-day transient (outcomes, crossing lists) is
-// a reusable scratch member. A warm APD day — new prefixes included,
-// once table capacity has warmed up — therefore performs zero heap
-// allocations, which tests/test_day_alloc.cpp and the symlint noalloc
-// policy's day-loop roots both enforce.
+// a deque, and every per-day transient (outcomes, crossing lists,
+// transition lists) is a reusable member or a caller-owned list. A
+// warm APD day — new prefixes included, once table capacity has
+// warmed up — therefore performs zero heap allocations, which
+// tests/test_day_alloc.cpp and the symlint noalloc policy's day-loop
+// roots both enforce.
 
 #include <array>
 #include <cstddef>
@@ -27,10 +28,6 @@
 #include "net/protocol.h"
 #include "netsim/network_sim.h"
 #include "util/flat_hash.h"
-
-namespace v6h::scan {
-class ResultSink;
-}  // namespace v6h::scan
 
 namespace v6h::obs {
 class Observability;
@@ -48,24 +45,6 @@ struct PrefixOutcome {
   ipv6::Prefix prefix;
   unsigned responded = 0;  // of the 16 fan-out probes
   bool aliased = false;    // today's raw outcome (pre-window)
-};
-
-struct DayOutcome {
-  std::vector<ipv6::Prefix> aliased;  // windowed verdicts, this batch
-  std::uint64_t probes = 0;
-  // Verdict transitions relative to the effective previous verdict (a
-  // never-probed prefix counts as clean), in batch order. These are
-  // the exact delta the persistent AliasFilter applies in place, so a
-  // prefix appears here if and only if its filter membership changes.
-  std::vector<ipv6::Prefix> became_aliased;
-  std::vector<ipv6::Prefix> became_clean;
-
-  void clear() {
-    aliased.clear();
-    probes = 0;
-    became_aliased.clear();
-    became_clean.clear();
-  }
 };
 
 /// Table-4 sliding-window smoother for one prefix: the windowed
@@ -199,24 +178,20 @@ class AliasDetector {
                              const FanoutSeeds& seeds, int day) const;
 
   /// One APD day over a candidate batch: probe (in index chunks on the
-  /// engine workers when one is attached), update windows in input
-  /// order, and fill `out` with the prefixes currently judged aliased
-  /// plus the verdict delta. `out`'s vectors are cleared and refilled
-  /// (capacity retained), so a reused DayOutcome makes a warm APD day
-  /// allocation-free. The fan-out counters stream through `sink` when
-  /// one is given — ResultSink::on_fanout(prefix, responded, windowed
-  /// verdict) fires serially in batch order, so a streaming consumer
-  /// sees exactly what DayOutcome materializes.
+  /// engine workers when one is attached), then update windows in
+  /// input order. `became_aliased` and `became_clean` are cleared and
+  /// refilled, in batch order, with the verdict transitions relative
+  /// to the effective previous verdict (a never-probed prefix counts
+  /// as clean): exactly the delta a persistent AliasFilter applies in
+  /// place. Both lists are caller-owned and keep their capacity, so a
+  /// warm APD day is allocation-free.
   void run_day_on_prefixes(const std::vector<ipv6::Prefix>& prefixes, int day,
-                           scan::ResultSink* sink, DayOutcome& out);
+                           std::vector<ipv6::Prefix>* became_aliased,
+                           std::vector<ipv6::Prefix>* became_clean);
 
-  /// Value-returning convenience wrapper (benches, tests).
-  DayOutcome run_day_on_prefixes(const std::vector<ipv6::Prefix>& prefixes,
-                                 int day, scan::ResultSink* sink = nullptr) {
-    DayOutcome out;
-    run_day_on_prefixes(prefixes, day, sink, out);
-    return out;
-  }
+  /// The last run_day_on_prefixes batch's raw fan-out outcomes, in
+  /// batch order; valid until the next call.
+  const std::vector<PrefixOutcome>& outcomes() const { return outcomes_; }
 
   /// Multi-level candidate enumeration from hitlist addresses: the
   /// announced prefix plus /48../112 aggregates holding enough targets.

@@ -39,7 +39,6 @@ void Engine::parallel_chunks(
     const obs::CoreMetrics& core = obs_->core();
     registry.add(core.parallel_fors, 1);
     registry.add(core.chunks, chunks);
-    registry.observe(core.chunk_rows, chunk);
   }
   obs::StageSpan span(obs_, obs::Stage::kPoolRun);
   pool_->run(chunks, [&](std::size_t c) {

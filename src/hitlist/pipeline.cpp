@@ -1,29 +1,12 @@
 #include "hitlist/pipeline.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "obs/obs.h"
 
 namespace v6h::hitlist {
 
 using ipv6::Address;
-using ipv6::Prefix;
-
-void AliasFilter::insert(const Prefix& prefix) {
-  const auto it =
-      std::lower_bound(prefixes_.begin(), prefixes_.end(), prefix);
-  if (it != prefixes_.end() && *it == prefix) return;
-  prefixes_.insert(it, prefix);
-  trie_.insert(prefix, true);
-}
-
-void AliasFilter::remove(const Prefix& prefix) {
-  const auto it =
-      std::lower_bound(prefixes_.begin(), prefixes_.end(), prefix);
-  if (it == prefixes_.end() || *it != prefix) return;
-  prefixes_.erase(it);
-  trie_.erase(prefix);
-}
 
 void AliasFilter::is_aliased_many(const Address* in, std::size_t count,
                                   std::vector<char>* aliased,
@@ -48,7 +31,6 @@ void AliasFilter::is_aliased_many(const Address* in, std::size_t count,
 
 void AliasFilter::reserve(std::size_t max_prefixes,
                           std::size_t max_trie_nodes) {
-  prefixes_.reserve(max_prefixes);
   trie_.reserve(max_trie_nodes, max_prefixes);
 }
 
@@ -58,7 +40,7 @@ Pipeline::Pipeline(const netsim::Universe& universe, netsim::NetworkSim& sim,
       engine_(engine),
       sim_(&sim),
       obs_(options_.obs),
-      sources_(universe, sim, engine),
+      sources_(universe, engine),
       detector_(sim, options_.apd, engine),
       counter_(universe.bgp(), options_.apd.min_targets),
       scan_engine_(sim, engine) {
@@ -87,12 +69,13 @@ Pipeline::Pipeline(const netsim::Universe& universe, netsim::NetworkSim& sim,
   scan_engine_.reserve(bound);
   frame_.reserve(bound);
   filter_.reserve(aliased_budget, 2048 + aliased_budget * 24);
-  scratch_.reserve(bound, prefix_bound);
+  new_row_aliased_.reserve(bound);
+  affected_rows_.reserve(bound);
   delta_.became_aliased.reserve(prefix_bound);
   delta_.became_clean.reserve(prefix_bound);
 }
 
-Pipeline::DayReport Pipeline::run_day(int day, scan::ResultSink* sink) {
+Pipeline::DayReport Pipeline::run_day(int day) {
   // Observability discipline: spans and counter updates below are
   // lane-local relaxed stores plus clock reads — no locks, no
   // allocation, no effect on any pipeline decision — so the DayReport
@@ -136,12 +119,8 @@ Pipeline::DayReport Pipeline::run_day(int day, scan::ResultSink* sink) {
     counter_.add_addresses(store_.addresses().data() + delta_.first_new_row,
                            delta_.new_addresses());
   }
-  detector_.run_day_on_prefixes(counter_.candidates(), day, sink,
-                                scratch_.outcome);
-  // Swap, don't move: the outcome's buffers and the delta's circulate
-  // between the two structs, so neither side ever reallocates.
-  delta_.became_aliased.swap(scratch_.outcome.became_aliased);
-  delta_.became_clean.swap(scratch_.outcome.became_clean);
+  detector_.run_day_on_prefixes(counter_.candidates(), day,
+                                &delta_.became_aliased, &delta_.became_clean);
 
   // 3. Alias filter + per-row verdict flags. Apply the verdict
   // transitions in place, then re-filter exactly the rows whose answer
@@ -156,25 +135,25 @@ Pipeline::DayReport Pipeline::run_day(int day, scan::ResultSink* sink) {
     for (const auto& prefix : delta_.became_clean) filter_.remove(prefix);
     for (const auto& prefix : delta_.became_aliased) filter_.insert(prefix);
     filter_.is_aliased_many(store_.addresses().data() + delta_.first_new_row,
-                            delta_.new_addresses(), &scratch_.aliased,
+                            delta_.new_addresses(), &new_row_aliased_,
                             engine_);
-    for (std::size_t i = 0; i < scratch_.aliased.size(); ++i) {
-      store_.set_aliased(delta_.first_new_row + i, scratch_.aliased[i] != 0);
+    for (std::size_t i = 0; i < new_row_aliased_.size(); ++i) {
+      store_.set_aliased(delta_.first_new_row + i, new_row_aliased_[i] != 0);
     }
-    scratch_.affected.clear();
-    store_.rows_within_many(delta_.became_aliased, &scratch_.affected);
-    store_.rows_within_many(delta_.became_clean, &scratch_.affected);
-    for (const auto row : scratch_.affected) {
+    affected_rows_.clear();
+    store_.rows_within_many(delta_.became_aliased, &affected_rows_);
+    store_.rows_within_many(delta_.became_clean, &affected_rows_);
+    for (const auto row : affected_rows_) {
       store_.set_aliased(row, filter_.is_aliased(store_.address(row)));
     }
   }
-  report.aliased_prefixes = filter_.prefixes().size();
+  report.aliased_prefixes = filter_.size();
 
   // 4. Scan everything not inside detected aliased space into the
   // reusable frame. The resolved engine extends its per-row cache by
   // the day's new rows and answers every probe from it.
   scan_engine_.sync(store_, day);
-  scan_engine_.scan_store(store_, day, options_.schedule, &frame_, sink);
+  scan_engine_.scan_store(store_, day, options_.schedule, &frame_);
   report.scanned_targets = frame_.rows().size();
   report.frame = &frame_;
 

@@ -18,15 +18,16 @@
 //
 // Scan results land in one pipeline-owned scan::ScanFrame reused
 // across days (zero steady-state allocations in the scan path);
-// DayReport borrows it, and streaming consumers can pass a
-// scan::ResultSink to run_day instead of holding any copy at all.
+// DayReport borrows it. Each day result is read in one place after
+// run_day returns: the scan rows in the frame, the APD fan-out
+// outcomes in detector().outcomes(), the verdict transitions in
+// last_delta(), and the aliased set in filter().
 
 #include <cstdint>
 #include <vector>
 
 #include "apd/apd.h"
 #include "engine/engine.h"
-#include "hitlist/day_scratch.h"
 #include "hitlist/target_store.h"
 #include "ipv6/address.h"
 #include "ipv6/prefix.h"
@@ -60,9 +61,9 @@ struct PipelineOptions {
 };
 
 /// The APD verdict set as a queryable filter: one longest-prefix-match
-/// trie over the aliased prefixes. Mutable in place: the pipeline
-/// applies each day's verdict transitions as insert/remove instead of
-/// rebuilding the trie.
+/// trie over the aliased prefixes, which is also the only copy of the
+/// set. Mutable in place: the pipeline applies each day's verdict
+/// transitions as insert/remove instead of rebuilding the trie.
 ///
 /// Thread discipline: insert/remove run only on the coordinator
 /// thread between parallel phases; during is_aliased_many the trie is
@@ -72,20 +73,29 @@ class AliasFilter {
  public:
   AliasFilter() = default;
 
-  /// Pre-size the sorted membership list and the trie so day-loop
-  /// inserts never grow a container: `max_prefixes` bounds the
-  /// aliased set, `max_trie_nodes` the trie's node arena (path
-  /// compression is absent, so budget ~ the deepest prefix length for
-  /// the first insert in a region plus a short marginal tail for each
-  /// further prefix; the counting-allocator test fails loudly if a
-  /// campaign outgrows the budget).
+  /// Pre-size the trie so day-loop inserts never grow a container:
+  /// `max_prefixes` bounds the aliased set, `max_trie_nodes` the
+  /// trie's node arena (path compression is absent, so budget ~ the
+  /// deepest prefix length for the first insert in a region plus a
+  /// short marginal tail for each further prefix; the
+  /// counting-allocator test fails loudly if a campaign outgrows the
+  /// budget).
   void reserve(std::size_t max_prefixes, std::size_t max_trie_nodes);
 
   /// Add `prefix` to the aliased set (no-op when present).
-  void insert(const ipv6::Prefix& prefix);
+  void insert(const ipv6::Prefix& prefix) { trie_.insert(prefix, true); }
 
   /// Drop `prefix` from the aliased set (no-op when absent).
-  void remove(const ipv6::Prefix& prefix);
+  void remove(const ipv6::Prefix& prefix) { trie_.erase(prefix); }
+
+  /// How many prefixes the aliased set holds.
+  std::size_t size() const { return trie_.size(); }
+
+  /// Whether `prefix` itself is in the aliased set (exact match, not
+  /// containment).
+  bool contains(const ipv6::Prefix& prefix) const {
+    return trie_.exact_match(prefix) != nullptr;
+  }
 
   bool is_aliased(const ipv6::Address& a) const {
     // An empty filter answers without walking the trie.
@@ -99,11 +109,7 @@ class AliasFilter {
                        std::vector<char>* aliased,
                        engine::Engine* engine = nullptr) const;
 
-  /// The aliased set, sorted.
-  const std::vector<ipv6::Prefix>& prefixes() const { return prefixes_; }
-
  private:
-  std::vector<ipv6::Prefix> prefixes_;
   ipv6::PrefixTrie<bool> trie_;
 };
 
@@ -128,10 +134,8 @@ class Pipeline {
     const scan::ScanFrame& scan() const { return *frame; }
   };
 
-  /// One daily cycle at `day`: collect -> APD -> scan. When a sink is
-  /// given, the APD fan-out counters and every scanned row stream
-  /// through it (serially, deterministic order) as they complete.
-  DayReport run_day(int day, scan::ResultSink* sink = nullptr);
+  /// One daily cycle at `day`: collect -> APD -> scan.
+  DayReport run_day(int day);
 
   /// Cumulative hitlist (pre-APD, deduplicated, insertion order).
   const std::vector<ipv6::Address>& targets() const {
@@ -172,9 +176,11 @@ class Pipeline {
   AliasFilter filter_;
   DayDelta delta_;
   scan::ScanFrame frame_;
-  // Per-day transient buffers (see day_scratch.h): coordinator-owned,
-  // cleared and refilled once per run_day.
-  DayScratch scratch_;
+  // Re-filter buffers, coordinator-owned and refilled once per
+  // run_day: the verdict column for the day's new rows, and the rows
+  // inside prefixes whose verdict flipped today.
+  std::vector<char> new_row_aliased_;
+  std::vector<std::uint32_t> affected_rows_;
 };
 
 }  // namespace v6h::hitlist

@@ -111,18 +111,6 @@ void TargetStore::gather_range(const Address& first, const Address& last,
   }
 }
 
-void TargetStore::rows_within(const Prefix& prefix,
-                              std::vector<std::uint32_t>* rows) const {
-  hits_scratch_.clear();
-  gather_range(prefix.address(), last_address(prefix), &hits_scratch_);
-  // Runs are disjoint (addresses are unique), but their matches
-  // interleave; restore the ascending address order the old ordered
-  // index delivered.
-  std::sort(hits_scratch_.begin(), hits_scratch_.end(),
-            [](const Entry& x, const Entry& y) { return x.address < y.address; });
-  for (const auto& entry : hits_scratch_) rows->push_back(entry.row);
-}
-
 void TargetStore::rows_within_many(const std::vector<Prefix>& prefixes,
                                    std::vector<std::uint32_t>* rows) const {
   hits_scratch_.clear();

@@ -11,8 +11,8 @@
 // collect in a small tail, spill into a sorted run, and runs merge
 // geometrically (logarithmic-method) so each stays a dense sorted
 // array a range query can binary-search — contiguous scans instead of
-// the pointer-chasing of the old std::map index, and a batched form
-// answers a whole flip-list of prefixes in one call.
+// the pointer-chasing of the old std::map index, and one call answers
+// a whole flip-list of prefixes.
 //
 // All runs live back-to-back in ONE arena (run_storage_) addressed by
 // (offset, length) spans: runs form a stack, and the logarithmic
@@ -91,15 +91,11 @@ class TargetStore {
   /// like every other mutation of the store.
   const std::vector<std::uint32_t>& unaliased_rows() const;
 
-  /// Append the rows whose address lies inside `prefix` (ascending
-  /// address order) — binary search per sorted run plus a bounded
-  /// tail scan, so a flipped prefix re-filters only its members.
-  void rows_within(const ipv6::Prefix& prefix,
-                   std::vector<std::uint32_t>* rows) const;
-
-  /// Batched form: the union of members across `prefixes`, appended
-  /// in ascending row order without duplicates (nested flip prefixes
-  /// would otherwise emit their overlap once per prefix).
+  /// Append the rows whose address lies inside any of `prefixes`, in
+  /// ascending row order without duplicates (nested flip prefixes
+  /// would otherwise emit their overlap once per prefix). Each prefix
+  /// costs a binary search per sorted run plus a bounded tail scan,
+  /// so a flipped prefix re-filters only its members.
   void rows_within_many(const std::vector<ipv6::Prefix>& prefixes,
                         std::vector<std::uint32_t>* rows) const;
 

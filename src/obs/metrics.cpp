@@ -6,82 +6,63 @@
 
 namespace v6h::obs {
 
-Registry::Registry(std::size_t max_metrics, std::size_t max_slots,
-                   unsigned lanes)
-    : max_metrics_(max_metrics),
-      stride_(max_slots),
-      lanes_(lanes == 0 ? 1 : lanes),
-      cells_(static_cast<std::size_t>(lanes == 0 ? 1 : lanes) * max_slots),
-      merged_(max_slots, 0),
-      prev_(max_slots, 0),
-      day_(max_slots, 0) {
-  descs_.reserve(max_metrics);
+Registry::Registry(unsigned lanes)
+    : lanes_(lanes == 0 ? 1 : lanes),
+      cells_(static_cast<std::size_t>(lanes_) * kMaxMetrics),
+      merged_(kMaxMetrics, 0),
+      prev_(kMaxMetrics, 0),
+      day_(kMaxMetrics, 0) {
+  descs_.reserve(kMaxMetrics);
 }
 
 MetricId Registry::register_metric(const char* name, MetricKind kind,
-                                   bool deterministic, std::uint32_t slots,
-                                   const std::uint64_t* bounds) {
+                                   bool deterministic) {
   for (std::size_t i = 0; i < descs_.size(); ++i) {
     if (std::strcmp(descs_[i].name, name) != 0) continue;
-    if (descs_[i].kind != kind || descs_[i].slots != slots) {
+    if (descs_[i].kind != kind) {
       std::fprintf(stderr,
                    "obs::Registry: metric '%s' re-registered with a "
-                   "different shape\n",
+                   "different kind\n",
                    name);
       std::abort();
     }
     return static_cast<MetricId>(i);
   }
-  if (descs_.size() >= max_metrics_ || used_slots_ + slots > stride_) {
+  if (descs_.size() >= kMaxMetrics) {
     std::fprintf(stderr,
                  "obs::Registry: capacity exceeded registering '%s' "
-                 "(%zu/%zu metrics, %u/%zu slots)\n",
-                 name, descs_.size(), max_metrics_, used_slots_, stride_);
+                 "(%zu/%zu metrics)\n",
+                 name, descs_.size(), kMaxMetrics);
     std::abort();
   }
   Desc d;
   d.name = name;
   d.kind = kind;
   d.deterministic = deterministic;
-  d.first_slot = used_slots_;
-  d.slots = slots;
-  d.bounds = bounds;
-  used_slots_ += slots;
   descs_.push_back(d);
   return static_cast<MetricId>(descs_.size() - 1);
 }
 
 MetricId Registry::counter(const char* name, bool deterministic) {
-  return register_metric(name, MetricKind::kCounter, deterministic, 1,
-                         nullptr);
+  return register_metric(name, MetricKind::kCounter, deterministic);
 }
 
 MetricId Registry::gauge(const char* name, bool deterministic) {
-  return register_metric(name, MetricKind::kGauge, deterministic, 1, nullptr);
-}
-
-MetricId Registry::histogram(const char* name, const std::uint64_t* bounds,
-                             std::size_t bound_count) {
-  // Histogram shapes depend on scheduling (chunk sizes, queue depths),
-  // so they are always nondeterministic across thread counts.
-  return register_metric(name, MetricKind::kHistogram, /*deterministic=*/false,
-                         static_cast<std::uint32_t>(bound_count + 1), bounds);
+  return register_metric(name, MetricKind::kGauge, deterministic);
 }
 
 void Registry::merge_day() {
   // Serial fold on the coordinator; the pool barrier of the day's last
   // parallel phase ordered every worker-lane store before this read.
-  for (const Desc& d : descs_) {
-    for (std::uint32_t s = d.first_slot; s < d.first_slot + d.slots; ++s) {
-      std::uint64_t sum = 0;
-      for (unsigned l = 0; l < lanes_; ++l) {
-        sum += cells_[static_cast<std::size_t>(l) * stride_ + s].load(
-            std::memory_order_relaxed);
-      }
-      day_[s] = d.kind == MetricKind::kGauge ? sum : sum - prev_[s];
-      prev_[s] = sum;
-      merged_[s] = sum;
+  for (std::size_t id = 0; id < descs_.size(); ++id) {
+    std::uint64_t sum = 0;
+    for (unsigned l = 0; l < lanes_; ++l) {
+      sum += cells_[static_cast<std::size_t>(l) * kMaxMetrics + id].load(
+          std::memory_order_relaxed);
     }
+    day_[id] = descs_[id].kind == MetricKind::kGauge ? sum : sum - prev_[id];
+    prev_[id] = sum;
+    merged_[id] = sum;
   }
 }
 

@@ -1,12 +1,12 @@
 #pragma once
 
 // Fixed-capacity metrics registry for the observability layer: dense
-// counters, gauges, and pre-bucketed histograms whose storage is laid
-// out per writer lane (engine worker) at construction time.
+// counters and gauges whose storage is laid out per writer lane
+// (engine worker) at construction time.
 //
 // Allocation discipline: every byte is allocated in the constructor
 // and by the registration calls (both construction-time, cold); the
-// hot-path update surface — add / set / observe — and the day-end
+// hot-path update surface — add / set — and the day-end
 // merge_day touch only the preallocated cells, so a warm day with
 // metrics enabled performs zero heap allocations (tests/test_obs.cpp
 // pins this with the counting allocator, and the symlint noalloc policy
@@ -49,105 +49,82 @@ inline void set_lane(unsigned worker_lane) { t_lane = worker_lane; }
 /// Dense handle into a Registry (an index into its descriptor table).
 using MetricId = std::uint32_t;
 
-enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
+enum class MetricKind : std::uint8_t { kCounter, kGauge };
 
 class Registry {
  public:
+  /// Registration capacity: every metric holds one cell per lane, and
+  /// registering more than this many aborts.
+  static constexpr std::size_t kMaxMetrics = 96;
+
   struct Desc {
     const char* name = nullptr;  // borrowed; registrants pass literals
     MetricKind kind = MetricKind::kCounter;
     bool deterministic = false;
-    std::uint32_t first_slot = 0;
-    std::uint32_t slots = 1;  // histograms: bucket count (bounds + 1)
-    // Histogram upper bounds, borrowed (registrants pass constexpr
-    // arrays): bucket b counts values < bounds[b]; the last bucket is
-    // the overflow bucket (>= bounds[slots - 2]).
-    const std::uint64_t* bounds = nullptr;
   };
 
   /// `lanes` must cover every thread that will update metrics (engine
   /// worker count including the coordinator); a thread whose lane is
   /// out of range falls back to lane 0, which loses the one-writer
   /// guarantee — size the registry from the engine, not a guess.
-  Registry(std::size_t max_metrics, std::size_t max_slots, unsigned lanes);
+  explicit Registry(unsigned lanes);
 
   // ---- registration (cold; construction time only) ----------------
   // Idempotent by name: re-registering an existing name returns the
   // existing id (so several components can share one registry without
-  // coordinating). Exceeding a capacity or re-registering a name with
-  // a different shape aborts: registration is programmer-controlled
+  // coordinating). Exceeding kMaxMetrics or re-registering a name with
+  // a different kind aborts: registration is programmer-controlled
   // and a silent fallback would corrupt the telemetry schema.
   MetricId counter(const char* name, bool deterministic);
   MetricId gauge(const char* name, bool deterministic);
-  MetricId histogram(const char* name, const std::uint64_t* bounds,
-                     std::size_t bound_count);
 
   // ---- hot path (lane-local relaxed stores; no locks, no alloc) ---
   void add(MetricId id, std::uint64_t delta) {
-    bump(descs_[id].first_slot, delta);
-  }
-
-  /// Absolute value; coordinator-only by convention (gauges describe
-  /// serial day-loop state, so they live in lane 0).
-  void set(MetricId id, std::uint64_t value) {
-    cell(descs_[id].first_slot).store(value, std::memory_order_relaxed);
-  }
-
-  void observe(MetricId id, std::uint64_t value) {
-    const Desc& d = descs_[id];
-    std::uint32_t bucket = 0;
-    while (bucket + 1 < d.slots && value >= d.bounds[bucket]) ++bucket;
-    bump(d.first_slot + bucket, 1);
-  }
-
-  // ---- day boundary (coordinator, after the last pool barrier) ----
-  /// Fold every lane into the merged cumulative values and compute
-  /// the day deltas (counters/histograms: delta since the previous
-  /// merge; gauges: the current value). Allocation-free.
-  void merge_day();
-
-  // ---- read side (valid after merge_day) --------------------------
-  std::uint64_t merged(MetricId id) const { return merged_[descs_[id].first_slot]; }
-  std::uint64_t day(MetricId id) const { return day_[descs_[id].first_slot]; }
-  std::uint64_t merged_bucket(MetricId id, std::uint32_t bucket) const {
-    return merged_[descs_[id].first_slot + bucket];
-  }
-
-  std::size_t metric_count() const { return descs_.size(); }
-  const Desc& describe(MetricId id) const { return descs_[id]; }
-  unsigned lanes() const { return lanes_; }
-
- private:
-  std::atomic<std::uint64_t>& cell(std::uint32_t slot) {
-    const unsigned l = t_lane;
-    return cells_[static_cast<std::size_t>(l < lanes_ ? l : 0) * stride_ +
-                  slot];
-  }
-
-  void bump(std::uint32_t slot, std::uint64_t delta) {
-    auto& c = cell(slot);
+    auto& c = cell(id);
     // Single writer per lane: a plain relaxed load/store pair, never
     // a contended fetch_add.
     c.store(c.load(std::memory_order_relaxed) + delta,
             std::memory_order_relaxed);
   }
 
-  MetricId register_metric(const char* name, MetricKind kind,
-                           bool deterministic, std::uint32_t slots,
-                           const std::uint64_t* bounds);
+  /// Absolute value; coordinator-only by convention (gauges describe
+  /// serial day-loop state, so they live in lane 0).
+  void set(MetricId id, std::uint64_t value) {
+    cell(id).store(value, std::memory_order_relaxed);
+  }
 
-  std::size_t max_metrics_;
-  std::size_t stride_;  // slots per lane
+  // ---- day boundary (coordinator, after the last pool barrier) ----
+  /// Fold every lane into the merged cumulative values and compute
+  /// the day deltas (counters: delta since the previous merge;
+  /// gauges: the current value). Allocation-free.
+  void merge_day();
+
+  // ---- read side (valid after merge_day) --------------------------
+  std::uint64_t merged(MetricId id) const { return merged_[id]; }
+  std::uint64_t day(MetricId id) const { return day_[id]; }
+
+  std::size_t metric_count() const { return descs_.size(); }
+  const Desc& describe(MetricId id) const { return descs_[id]; }
+  unsigned lanes() const { return lanes_; }
+
+ private:
+  std::atomic<std::uint64_t>& cell(MetricId id) {
+    const unsigned l = t_lane;
+    return cells_[static_cast<std::size_t>(l < lanes_ ? l : 0) * kMaxMetrics +
+                  id];
+  }
+
+  MetricId register_metric(const char* name, MetricKind kind,
+                           bool deterministic);
+
   unsigned lanes_;
-  std::uint32_t used_slots_ = 0;
-  // Registration is construction-time, coordinator-only; the hot path
-  // reads descs_ without synchronization because it never changes
-  // after the last register_metric.
+  // Registration is construction-time, coordinator-only; after the
+  // last register_metric only merge_day and the read side use it.
   std::vector<Desc> descs_ V6H_LANE_OWNED(coordinator at construction);
-  // lanes_ x stride_; cell (l, s) is written only by the thread whose
-  // t_lane == l, with relaxed load/store pairs. merge_day's cross-lane
-  // reads are ordered by the publication edge named here: the pool
-  // return barrier of the day's last parallel phase.
+  // lanes_ x kMaxMetrics; cell (l, id) is written only by the thread
+  // whose t_lane == l, with relaxed load/store pairs. merge_day's
+  // cross-lane reads are ordered by the publication edge named here:
+  // the pool return barrier of the day's last parallel phase.
   std::vector<std::atomic<std::uint64_t>> cells_ V6H_PUBLISHED_BY(pool barrier);
   // Merge outputs (cumulative / previous merge / delta of the day):
   // written and read by the coordinator only, between parallel phases.

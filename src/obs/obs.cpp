@@ -16,7 +16,7 @@ std::uint64_t Observability::now_ns() {
 
 Observability::Observability(const ObsOptions& options, unsigned lanes)
     : options_(options),
-      registry_(options.max_metrics, options.max_slots, lanes),
+      registry_(lanes),
       ring_(options.tracing ? options.trace_capacity : 0) {
   for (unsigned s = 0; s < kStageCount; ++s) {
     core_.stage_ns[s] =
@@ -33,9 +33,6 @@ Observability::Observability(const ObsOptions& options, unsigned lanes)
   core_.pool_steals = registry_.counter("engine.pool_steals", false);
   core_.parallel_fors = registry_.counter("engine.parallel_fors", false);
   core_.chunks = registry_.counter("engine.chunks", false);
-  core_.chunk_rows =
-      registry_.histogram("engine.chunk_rows", kChunkRowsBounds,
-                          sizeof(kChunkRowsBounds) / sizeof(std::uint64_t));
   core_.trace_dropped = registry_.gauge("obs.trace_dropped", false);
 }
 

@@ -47,16 +47,6 @@ inline constexpr const char* kStageNames[kStageCount] = {
     "scan_probe", "frame_finish", "pool_run",   "day",
 };
 
-/// Documented, stable bucket upper bounds for the parallel_for
-/// chunk-size histogram ("engine.chunk_rows"): bucket b counts chunks
-/// with < kChunkRowsBounds[b] rows, the 9th bucket is >= 1048576.
-/// tests/test_obs.cpp pins these values; changing them is a telemetry
-/// schema change and must update the test and README together.
-inline constexpr std::uint64_t kChunkRowsBounds[] = {
-    64, 256, 1024, 4096, 16384, 65536, 262144, 1048576};
-inline constexpr std::size_t kChunkRowsBucketCount =
-    sizeof(kChunkRowsBounds) / sizeof(kChunkRowsBounds[0]) + 1;
-
 /// Ids of the preregistered core schema, resolved once at
 /// Observability construction so instrumentation sites never pay a
 /// name lookup.
@@ -76,7 +66,6 @@ struct CoreMetrics {
   MetricId pool_steals;    // counter: tasks taken from another queue
   MetricId parallel_fors;  // counter: parallel sweeps dispatched
   MetricId chunks;         // counter: chunks across all sweeps
-  MetricId chunk_rows;     // histogram: rows per chunk
   // Nondeterministic day bookkeeping gauge:
   MetricId trace_dropped;  // gauge: ring drops so far
 };
@@ -100,12 +89,13 @@ struct DayTelemetry {
   std::uint64_t trace_dropped = 0;
 };
 
-/// Streaming consumer of per-day telemetry (the observability
-/// counterpart of scan::ResultSink). on_day is called once per
+/// Streaming consumer of per-day telemetry. on_day is called once per
 /// run_day, on the coordinator, after the registry merge; the record
-/// is only valid for the duration of the call. Implementations on the
-/// bench/test side must not allocate if they sit inside an
-/// allocation-audited window (reserve your series up front).
+/// is only valid for the duration of the call. This is the day loop's
+/// only virtual dispatch, and it runs only with an Observability
+/// attached. Implementations on the bench/test side must not allocate
+/// if they sit inside an allocation-audited window (reserve your
+/// series up front).
 class TelemetrySink {
  public:
   virtual ~TelemetrySink() = default;
@@ -115,8 +105,6 @@ class TelemetrySink {
 struct ObsOptions {
   bool tracing = false;            // record spans into the ring
   std::size_t trace_capacity = 1u << 15;  // events; ring is pre-sized
-  std::size_t max_metrics = 96;
-  std::size_t max_slots = 256;
 };
 
 class Observability {

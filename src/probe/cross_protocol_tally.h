@@ -10,9 +10,10 @@
 
 namespace v6h::probe {
 
-/// Figure 7's streaming cross-protocol tally: feed each admitted
-/// target's response mask (e.g. from ResultSink::on_target) and read
-/// matrix()[y][x] = Pr[protocol y responded | protocol x responded].
+/// Figure 7's cross-protocol tally: feed each admitted target's
+/// response mask (ScanFrame::mask_of_row over the frame's rows()) and
+/// read matrix()[y][x] = Pr[protocol y responded | protocol x
+/// responded].
 class CrossProtocolTally {
  public:
   void add(net::ProtocolMask mask) {
@@ -24,11 +25,6 @@ class CrossProtocolTally {
         joint_[y][x] += (mask >> y) & 1u;
       }
     }
-  }
-
-  void reset() {
-    joint_ = {};
-    marginal_ = {};
   }
 
   std::array<std::array<double, net::kProtocolCount>, net::kProtocolCount>

@@ -70,7 +70,7 @@ void probe_chunk(netsim::NetworkSim& sim, const ResolvedColumns& cols,
 }
 
 // Shared scan core: probe the frame's admitted rows into its mask
-// column, then run the serial completion pass (tallies + sink).
+// column, then run the serial completion pass (tallies).
 // Workers share `masks` without a lock; every probe scatters to its
 // own row and admitted rows are unique, so writes are disjoint and
 // the pool's run() barrier is the release point the serial finish
@@ -79,8 +79,7 @@ void probe_chunk(netsim::NetworkSim& sim, const ResolvedColumns& cols,
 // from result-completion cost.
 void run_scan(netsim::NetworkSim& sim, engine::Engine* engine,
               obs::Observability* obs, const ResolvedColumns& cols, int day,
-              const ProbeSchedule& schedule, ScanFrame* frame,
-              ResultSink* sink) {
+              const ProbeSchedule& schedule, ScanFrame* frame) {
   {
     obs::StageSpan span(obs, obs::Stage::kScanProbe);
     const auto& rows = frame->rows();
@@ -93,7 +92,7 @@ void run_scan(netsim::NetworkSim& sim, engine::Engine* engine,
     }
   }
   obs::StageSpan span(obs, obs::Stage::kFrameFinish);
-  frame->finish(sink);
+  frame->finish();
 }
 
 }  // namespace
@@ -109,23 +108,22 @@ void ScanEngine::sync(const hitlist::TargetStore& store, int day) {
 }
 
 void ScanEngine::scan_store(const hitlist::TargetStore& store, int day,
-                            const ProbeSchedule& schedule, ScanFrame* frame,
-                            ResultSink* sink) {
+                            const ProbeSchedule& schedule, ScanFrame* frame) {
   const auto& rows = store.unaliased_rows();
   frame->reset(day, store.addresses().data(), store.size());
   frame->admit(rows.data(), schedule.admitted_targets(rows.size()));
-  run_scan(*sim_, engine_, obs_, table_.columns(), day, schedule, frame, sink);
+  run_scan(*sim_, engine_, obs_, table_.columns(), day, schedule, frame);
 }
 
 void ScanEngine::scan_addresses(const std::vector<Address>& targets, int day,
-                                const ProbeSchedule& schedule, ScanFrame* frame,
-                                ResultSink* sink) {
+                                const ProbeSchedule& schedule,
+                                ScanFrame* frame) {
   const std::size_t admitted = schedule.admitted_targets(targets.size());
   ResolvedTargetTable table(*sim_);
   table.extend(targets.data(), admitted, day, engine_);
   frame->reset(day, targets.data(), targets.size());
   frame->admit_iota(admitted);
-  run_scan(*sim_, engine_, obs_, table.columns(), day, schedule, frame, sink);
+  run_scan(*sim_, engine_, obs_, table.columns(), day, schedule, frame);
 }
 
 }  // namespace v6h::scan

@@ -9,9 +9,8 @@
 // protocol scan one protocol at a time through
 // NetworkSim::probe_resolved_mask — no per-probe universe lookups.
 // Results land in a caller-owned reusable ScanFrame (zero
-// steady-state allocations; see scan/scan_frame.h) and stream through
-// an optional ResultSink. A ProbeSchedule picks protocols, probe
-// budget, and retry policy. A scanned row's protocol bit is set iff
+// steady-state allocations; see scan/scan_frame.h). A ProbeSchedule
+// picks protocols, probe budget, and retry policy. A scanned row's protocol bit is set iff
 // NetworkSim::probe answers at some attempt seq 0..retries, for any
 // thread count (tests/test_scan_equivalence.cpp checks every day of a
 // campaign under default and budgeted retrying schedules,
@@ -59,18 +58,15 @@ class ScanEngine {
   /// (read off its incremental unaliased-row index) under `schedule`,
   /// filling `frame` in place — clear()+refill with capacity
   /// retained, so a steady-state day allocates nothing. Requires
-  /// sync(store, day) first. Rows stream through `sink` (serial,
-  /// row order) when one is given.
+  /// sync(store, day) first.
   void scan_store(const hitlist::TargetStore& store, int day,
-                  const ProbeSchedule& schedule, ScanFrame* frame,
-                  ResultSink* sink = nullptr);
+                  const ProbeSchedule& schedule, ScanFrame* frame);
 
   /// Scan an ad-hoc address list through a transient resolution (each
   /// target resolved once, probed protocols.size() x attempts times).
   /// Frame rows are input-list positions.
   void scan_addresses(const std::vector<ipv6::Address>& targets, int day,
-                      const ProbeSchedule& schedule, ScanFrame* frame,
-                      ResultSink* sink = nullptr);
+                      const ProbeSchedule& schedule, ScanFrame* frame);
 
   const ResolvedTargetTable& table() const { return table_; }
 

@@ -23,18 +23,15 @@ void ScanFrame::admit_iota(std::size_t count) {
   }
 }
 
-void ScanFrame::finish(ResultSink* sink) {
+void ScanFrame::finish() {
   for (const auto row : rows_) {
     const net::ProtocolMask mask = masks_[row];
-    if (mask != 0) {
-      ++responsive_any_;
-      for (std::size_t p = 0; p < net::kProtocolCount; ++p) {
-        responsive_[p] += (mask >> p) & 1u;
-      }
+    if (mask == 0) continue;
+    ++responsive_any_;
+    for (std::size_t p = 0; p < net::kProtocolCount; ++p) {
+      responsive_[p] += (mask >> p) & 1u;
     }
-    if (sink != nullptr) sink->on_target(row, mask);
   }
-  if (sink != nullptr) sink->on_day_end(*this);
 }
 
 }  // namespace v6h::scan

@@ -11,49 +11,17 @@
 // serial pass at scan end. clear()+refill retains capacity, so a
 // steady-state day performs zero heap allocations in the scan path
 // (tests/test_scan_frame.cpp enforces this with a counting
-// allocator). Streaming consumers implement ResultSink; one-shot
-// consumers read the admitted rows and their masks in place.
+// allocator). Consumers read the admitted rows and their masks in
+// place once the scan call returns.
 
 #include <array>
 #include <cstdint>
 #include <vector>
 
 #include "ipv6/address.h"
-#include "ipv6/prefix.h"
 #include "net/protocol.h"
 
 namespace v6h::scan {
-
-class ScanFrame;
-
-/// Streaming consumer of scan results. All callbacks fire on the
-/// calling thread from the serial completion pass of a scan (after
-/// the parallel probe sweep), in admitted-row order — deterministic
-/// for any thread count. on_fanout streams the APD detector's
-/// per-prefix fan-out outcomes the same way (serial, batch order).
-class ResultSink {
- public:
-  virtual ~ResultSink() = default;
-
-  /// One admitted target's response mask. `row` indexes the producer's
-  /// row space (TargetStore row / input-list position).
-  virtual void on_target(std::uint32_t row, net::ProtocolMask mask) {
-    (void)row;
-    (void)mask;
-  }
-
-  /// One APD fan-out batch entry: how many of the 16 fan-out probes
-  /// of `prefix` answered, and the windowed verdict after today.
-  virtual void on_fanout(const ipv6::Prefix& prefix, unsigned responded,
-                         bool aliased) {
-    (void)prefix;
-    (void)responded;
-    (void)aliased;
-  }
-
-  /// The day's scan finished; `frame` stays valid until the next scan.
-  virtual void on_day_end(const ScanFrame& frame) { (void)frame; }
-};
 
 class ScanFrame {
  public:
@@ -114,8 +82,8 @@ class ScanFrame {
   net::ProtocolMask* mutable_masks() { return masks_.data(); }
 
   /// Serial completion pass: compute the tallies from the admitted
-  /// rows and stream them through `sink` (may be null).
-  void finish(ResultSink* sink);
+  /// rows.
+  void finish();
 
  private:
   int day_ = -1;

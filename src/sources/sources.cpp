@@ -61,9 +61,8 @@ double exp_curve(double x, double k) {
 }  // namespace
 
 SourceSimulator::SourceSimulator(const netsim::Universe& universe,
-                                 netsim::NetworkSim& sim,
                                  engine::Engine* engine)
-    : universe_(&universe), sim_(&sim), engine_(engine) {
+    : universe_(&universe), engine_(engine) {
   for (std::size_t s = 0; s < netsim::kAllSources.size(); ++s) {
     Pool& pool = pools_[s];
     const auto& zones = universe_->zones();
@@ -209,7 +208,6 @@ const CollectResult& SourceSimulator::collect(
     }
   }
   result_.cumulative_count = state.cumulative.size();
-  (void)sim_;
   return result_;
 }
 

@@ -17,7 +17,6 @@
 
 #include "engine/engine.h"
 #include "ipv6/address.h"
-#include "netsim/network_sim.h"
 #include "netsim/source_id.h"
 #include "netsim/universe.h"
 #include "util/flat_hash.h"
@@ -31,8 +30,8 @@ struct CollectResult {
 
 class SourceSimulator {
  public:
-  SourceSimulator(const netsim::Universe& universe, netsim::NetworkSim& sim,
-                  engine::Engine* engine = nullptr);
+  explicit SourceSimulator(const netsim::Universe& universe,
+                           engine::Engine* engine = nullptr);
 
   /// Advance the source to `day` and return the addresses that are
   /// new since the previous collect for this source. Each draw is a
@@ -79,7 +78,6 @@ class SourceSimulator {
                      const std::vector<ipv6::Address>& targets) const;
 
   const netsim::Universe* universe_;
-  netsim::NetworkSim* sim_;
   engine::Engine* engine_;
   std::array<State, netsim::kAllSources.size()> states_;
   std::array<Pool, netsim::kAllSources.size()> pools_;

@@ -1,8 +1,11 @@
 // Unit tests for the Table-4 sliding-window smoothing (ISSUE 2):
 // flicker suppression, the window_days = 0 edge, and a prefix aging
 // out of the aliased set — first on the extracted SlidingVerdict,
-// then end-to-end through AliasDetector on a simulated universe.
+// then end-to-end through AliasDetector on a simulated universe,
+// including the per-day verdict transition lists.
 
+#include <algorithm>
+#include <iterator>
 #include <vector>
 
 #include "apd/apd.h"
@@ -117,9 +120,29 @@ void run_tests() {
       apd::ApdOptions options;
       options.window_days = windows[w];
       apd::AliasDetector detector(sim, options);
+      // Each day's transition lists equal, as sets, the change in
+      // current_aliased() across the call. The lists are reused, and
+      // day 0 fills became_aliased, so later days also check that they
+      // come back cleared rather than appended to.
+      std::vector<ipv6::Prefix> became_aliased, became_clean;
+      std::size_t transition_mismatches = 0;
       for (int day = 0; day < 10; ++day) {
-        detector.run_day_on_prefixes(prefixes, day);
+        const std::vector<ipv6::Prefix> before = detector.current_aliased();
+        detector.run_day_on_prefixes(prefixes, day, &became_aliased,
+                                     &became_clean);
+        const std::vector<ipv6::Prefix> after = detector.current_aliased();
+        std::vector<ipv6::Prefix> added, dropped;
+        std::set_difference(after.begin(), after.end(), before.begin(),
+                            before.end(), std::back_inserter(added));
+        std::set_difference(before.begin(), before.end(), after.begin(),
+                            after.end(), std::back_inserter(dropped));
+        std::vector<ipv6::Prefix> got_aliased = became_aliased;
+        std::vector<ipv6::Prefix> got_clean = became_clean;
+        std::sort(got_aliased.begin(), got_aliased.end());
+        std::sort(got_clean.begin(), got_clean.end());
+        transition_mismatches += got_aliased != added || got_clean != dropped;
       }
+      CHECK_EQ(transition_mismatches, 0u);
       for (const auto& [prefix, flips] : detector.verdict_flips()) {
         unstable_by_window[w] += flips > 0;
       }
@@ -135,10 +158,17 @@ void run_tests() {
     netsim::NetworkSim sim(universe);
     apd::AliasDetector detector(sim, {});
     const std::vector<ipv6::Prefix> one{prefixes.front()};
-    detector.run_day_on_prefixes(one, 0);
+    // Lists handed in non-empty come back cleared, then refilled.
+    std::vector<ipv6::Prefix> became_aliased(3), became_clean(2);
+    detector.run_day_on_prefixes(one, 0, &became_aliased, &became_clean);
     const auto flagged = detector.current_aliased();
-    detector.run_day_on_prefixes({}, 1);  // empty batch: nothing ages
+    CHECK(became_aliased == flagged);  // a fresh detector: all new
+    CHECK(became_clean.empty());
+    // Empty batch: nothing ages, and nothing transitions.
+    detector.run_day_on_prefixes({}, 1, &became_aliased, &became_clean);
     CHECK_EQ(detector.current_aliased().size(), flagged.size());
+    CHECK(became_aliased.empty());
+    CHECK(became_clean.empty());
   }
 }
 

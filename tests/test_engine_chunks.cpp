@@ -92,14 +92,6 @@ void parallel_for_coverage(unsigned threads) {
   if (eng.parallel()) {
     CHECK_EQ(registry.merged(core.parallel_fors), 1u);
     CHECK_EQ(registry.merged(core.chunks), calls.load());
-    // chunk_rows records one sample per sweep (the uniform chunk
-    // size); its buckets must sum to the sweep count.
-    std::uint64_t samples = 0;
-    for (std::uint32_t b = 0; b < registry.describe(core.chunk_rows).slots;
-         ++b) {
-      samples += registry.merged_bucket(core.chunk_rows, b);
-    }
-    CHECK_EQ(samples, 1u);
   } else {
     CHECK_EQ(registry.merged(core.parallel_fors), 0u);
     CHECK_EQ(registry.merged(core.chunks), 0u);

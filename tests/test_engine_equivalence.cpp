@@ -82,8 +82,7 @@ RunResult run_pipeline(std::uint64_t seed, unsigned threads) {
     fp += a.to_string();
   }
   fp += "\nalias-set";
-  const hitlist::AliasFilter& filter = pipeline.filter();
-  for (const auto& p : filter.prefixes()) {
+  for (const auto& p : pipeline.detector().current_aliased()) {
     fp += "\n  ";
     fp += p.to_string();
   }

@@ -11,10 +11,7 @@
 //     universe at scale 0.3, days 241-270) perform exactly zero heap
 //     allocations (global counting allocator, all threads), and the
 //     trace ring never drops.
-//  3. Schema stability: the engine.chunk_rows histogram bucket bounds
-//     are pinned here; changing them must update this test and the
-//     README together (they are exported telemetry).
-//  4. Unit semantics: registry merge/delta rules, lane isolation,
+//  3. Unit semantics: registry merge/delta rules, lane isolation,
 //     idempotent registration, and TraceRing drop-don't-wrap.
 
 #include <cstdio>
@@ -257,37 +254,8 @@ void zero_alloc_with_obs(unsigned threads) {
   }
 }
 
-// Pinned telemetry schema: the chunk-size histogram bucket bounds are
-// documented in README.md and exported by name; a change here is a
-// schema change and must update both.
-void histogram_schema() {
-  CHECK_EQ(obs::kChunkRowsBucketCount, 9u);
-  constexpr std::uint64_t expected[] = {64,    256,    1024,   4096,
-                                        16384, 65536,  262144, 1048576};
-  for (std::size_t i = 0; i < 8; ++i) {
-    CHECK_EQ(obs::kChunkRowsBounds[i], expected[i]);
-  }
-
-  obs::Registry registry(4, 16, 1);
-  const auto h = registry.histogram("test.h", obs::kChunkRowsBounds, 8);
-  registry.observe(h, 0);        // bucket 0: < 64
-  registry.observe(h, 63);       // bucket 0
-  registry.observe(h, 64);       // bucket 1: < 256
-  registry.observe(h, 4095);     // bucket 3: < 4096
-  registry.observe(h, 1048575);  // bucket 7: < 1048576
-  registry.observe(h, 1048576);  // bucket 8: overflow
-  registry.observe(h, ~0ull);    // bucket 8
-  registry.merge_day();
-  CHECK_EQ(registry.merged_bucket(h, 0), 2u);
-  CHECK_EQ(registry.merged_bucket(h, 1), 1u);
-  CHECK_EQ(registry.merged_bucket(h, 2), 0u);
-  CHECK_EQ(registry.merged_bucket(h, 3), 1u);
-  CHECK_EQ(registry.merged_bucket(h, 7), 1u);
-  CHECK_EQ(registry.merged_bucket(h, 8), 2u);
-}
-
 void registry_semantics() {
-  obs::Registry registry(8, 32, 3);
+  obs::Registry registry(3);
   const auto c = registry.counter("unit.counter", true);
   const auto g = registry.gauge("unit.gauge", true);
   // Idempotent by name: same id, same shape.
@@ -347,7 +315,6 @@ void trace_ring_drops() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  histogram_schema();
   registry_semantics();
   trace_ring_drops();
   determinism_sweep(v6h::test::thread_counts_from_cli(argc, argv, {1, 4, 8}));

@@ -60,7 +60,7 @@ RunResult run_pipeline(std::uint64_t seed, unsigned threads,
     for (const auto protocol : net::kAllProtocols) {
       field(" ", report.scan().responsive_count(protocol));
     }
-    for (const auto& prefix : pipeline.filter().prefixes()) {
+    for (const auto& prefix : pipeline.detector().current_aliased()) {
       fp += "\n  alias ";
       fp += prefix.to_string();
     }

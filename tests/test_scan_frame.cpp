@@ -2,9 +2,9 @@
 // refilling a warm ScanFrame over a warm TargetStore must perform zero
 // heap allocations in the scan path — scan_store, including the
 // unaliased-row index read, the frame reset/admit, the probe sweep,
-// and the sink completion pass. Enforced with a global counting
-// allocator. Also covers ScanFrame semantics: reuse across days,
-// tallies vs a brute-force recount, and sink callback order.
+// and the completion pass. Enforced with a global counting
+// allocator. Also covers ScanFrame semantics: reuse across days and
+// tallies vs a brute-force recount, also after a pipeline day.
 
 #include <vector>
 
@@ -23,24 +23,6 @@ using namespace v6h;
 namespace {
 
 std::uint64_t allocations() { return util::allocation_count(); }
-
-struct RecordingSink final : scan::ResultSink {
-  std::vector<std::pair<std::uint32_t, net::ProtocolMask>> rows;
-  std::vector<std::pair<ipv6::Prefix, unsigned>> fanouts;
-  std::size_t day_ends = 0;
-  int last_day = -1;
-  void on_target(std::uint32_t row, net::ProtocolMask mask) override {
-    rows.emplace_back(row, mask);
-  }
-  void on_fanout(const ipv6::Prefix& prefix, unsigned responded,
-                 bool) override {
-    fanouts.emplace_back(prefix, responded);
-  }
-  void on_day_end(const scan::ScanFrame& frame) override {
-    ++day_ends;
-    last_day = frame.day();
-  }
-};
 
 // Build a store over the universe's discoverable addresses, a slice
 // of every zone, with a sprinkling of aliased verdicts.
@@ -82,18 +64,14 @@ void run_zero_allocation_scan() {
 
   // Steady state: same store, next days — sync finds nothing to
   // extend, the index has no pending flips, the frame refills in
-  // place. Zero heap allocations, with or without a sink attached.
-  RecordingSink sink;
-  sink.rows.reserve(store.size());
+  // place. Zero heap allocations.
   for (const int day : {day0, day0 + 1, day0 + 2}) {
-    sink.rows.clear();
     const std::uint64_t before = allocations();
     engine.sync(store, day);
-    engine.scan_store(store, day, schedule, &frame, &sink);
+    engine.scan_store(store, day, schedule, &frame);
     const std::uint64_t after = allocations();
     CHECK_EQ(after - before, 0u);
     CHECK_EQ(frame.day(), day);
-    CHECK_EQ(sink.rows.size(), frame.rows().size());
   }
 
   // A flip day re-merges the index and keeps scanning; once the
@@ -108,10 +86,9 @@ void run_zero_allocation_scan() {
     store.set_aliased(row, true);  // shrink-only batch
   }
   {
-    sink.rows.clear();
     const std::uint64_t before = allocations();
     engine.sync(store, day0 + 3);
-    engine.scan_store(store, day0 + 3, schedule, &frame, &sink);
+    engine.scan_store(store, day0 + 3, schedule, &frame);
     CHECK_EQ(allocations() - before, 0u);
   }
 
@@ -137,12 +114,9 @@ void run_frame_semantics() {
   for (std::size_t i = 0; i < addrs.size(); ++i) {
     frame.mutable_masks()[i] = static_cast<net::ProtocolMask>(i & 0x1f);
   }
-  RecordingSink sink;
-  frame.finish(&sink);
+  frame.finish();
   CHECK_EQ(frame.day(), 5);
-  CHECK_EQ(sink.day_ends, 1u);
-  CHECK_EQ(sink.last_day, 5);
-  CHECK_EQ(sink.rows.size(), addrs.size());
+  CHECK_EQ(frame.rows().size(), addrs.size());
   CHECK_EQ(frame.responsive_any_count(), 7u);  // masks 1..7 nonzero
   CHECK_EQ(frame.responsive_count(net::Protocol::kIcmp), 4u);  // odd masks
 
@@ -152,7 +126,7 @@ void run_frame_semantics() {
   frame.reset(6, addrs.data(), 4);
   frame.admit(subset, 2);
   frame.mutable_masks()[3] = net::mask_of(net::Protocol::kUdp53);
-  frame.finish(nullptr);
+  frame.finish();
   CHECK_EQ(frame.row_count(), 4u);
   CHECK_EQ(frame.rows().size(), 2u);
   CHECK_EQ(frame.mask_of_row(1), 0u);
@@ -165,9 +139,9 @@ void run_frame_semantics() {
            net::mask_of(net::Protocol::kUdp53));
 }
 
-void run_pipeline_sink_stream() {
-  // The pipeline streams APD fan-out counters and scan rows through
-  // the sink, matching the frame it borrows to the report.
+void run_pipeline_frame() {
+  // The report borrows the pipeline's own frame, and its tally equals
+  // a recount of the rows it scanned.
   netsim::UniverseParams params;
   params.seed = 2;
   params.scale = 0.05;
@@ -175,24 +149,18 @@ void run_pipeline_sink_stream() {
   const netsim::Universe universe(params);
   netsim::NetworkSim sim(universe);
   hitlist::Pipeline pipeline(universe, sim);
-  RecordingSink sink;
-  const auto report = pipeline.run_day(200, &sink);
-  CHECK_EQ(sink.day_ends, 1u);
-  CHECK(!sink.fanouts.empty());  // APD probed candidates through the sink
-  CHECK_EQ(sink.rows.size(), report.scanned_targets);
+  const auto report = pipeline.run_day(200);
   CHECK_EQ(report.frame, &pipeline.frame());
+  const scan::ScanFrame& frame = report.scan();
   std::size_t any = 0;
-  for (const auto& [row, mask] : sink.rows) {
-    CHECK_EQ(mask, report.scan().mask_of_row(row));
-    any += mask != 0;
-  }
-  CHECK_EQ(any, report.scan().responsive_any_count());
+  for (const auto row : frame.rows()) any += frame.mask_of_row(row) != 0;
+  CHECK_EQ(any, frame.responsive_any_count());
 }
 
 void run_tests() {
   run_frame_semantics();
   run_zero_allocation_scan();
-  run_pipeline_sink_stream();
+  run_pipeline_frame();
 }
 
 }  // namespace

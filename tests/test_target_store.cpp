@@ -1,7 +1,7 @@
 // TargetStore's sorted-run ordered index (ISSUE 4 satellite): the
-// dedup contract, rows_within against a brute-force filter across
-// prefix lengths (including /0 and /128), the batched
-// rows_within_many dedup/ordering semantics, and the run-merge
+// dedup contract, rows_within_many against a brute-force filter
+// across single prefixes of every length (including /0 and /128) and
+// across nested ones (dedup, row order, append), and the run-merge
 // machinery across many spill boundaries. Plus (ISSUE 5 satellite)
 // the incrementally-maintained unaliased-row index against a
 // brute-force flags walk across interleaved insert batches and
@@ -56,16 +56,13 @@ void run_sorted_run_tests() {
   CHECK(store.sorted_run_count() > 1);  // the merge path actually ran
 
   auto brute_force = [&](const Prefix& prefix) {
-    // Expected contract: matching rows in ascending address order.
-    std::vector<std::pair<Address, std::uint32_t>> hits;
+    // Expected contract: matching rows in ascending row order.
+    std::vector<std::uint32_t> rows;
     for (std::size_t row = 0; row < store.size(); ++row) {
       if (prefix.contains(store.address(row))) {
-        hits.emplace_back(store.address(row), static_cast<std::uint32_t>(row));
+        rows.push_back(static_cast<std::uint32_t>(row));
       }
     }
-    std::sort(hits.begin(), hits.end());
-    std::vector<std::uint32_t> rows;
-    for (const auto& [address, row] : hits) rows.push_back(row);
     return rows;
   };
 
@@ -81,14 +78,14 @@ void run_sorted_run_tests() {
   std::size_t nonempty = 0;
   for (const auto& prefix : queries) {
     std::vector<std::uint32_t> rows;
-    store.rows_within(prefix, &rows);
+    store.rows_within_many({prefix}, &rows);
     const auto expected = brute_force(prefix);
     CHECK(rows == expected);
     nonempty += !expected.empty();
   }
   CHECK(nonempty >= bases.size());  // the clustered queries had members
 
-  // Batched form: union across (nested, overlapping) prefixes,
+  // Several prefixes: union across (nested, overlapping) prefixes,
   // deduplicated, ascending row order, appended after existing
   // content.
   {

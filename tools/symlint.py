@@ -75,9 +75,12 @@ declared next to the roots in CMakeLists with a justification comment
 (no blanket hatches). The only one is Observability::now_ns for
 nodeterminism.
 
-Known limits: indirect calls (ResultSink / TelemetrySink virtual
-dispatch, function pointers) are not walked — sinks are consumer-
-owned code outside the library's contract. Anonymous-namespace
+Known limits: indirect calls are not walked. Two kinds remain under
+the day roots: the util::FunctionRef thunks of Engine::parallel_for
+(each chunk body is also a direct fn(0, n) call on the serial branch,
+which the walk does follow), and the TelemetrySink::on_day virtual
+dispatch, which runs only with an Observability attached — sinks are
+consumer-owned code outside the library's contract. Anonymous-namespace
 symbols are keyed by mangled name only, which is unique per TU in
 practice for this object set.
 
