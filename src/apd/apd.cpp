@@ -1,6 +1,8 @@
 #include "apd/apd.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <iterator>
 #include <unordered_map>
 
@@ -17,8 +19,8 @@ namespace {
 // The multi-level aggregation of Section 5.2: fn(prefix) once for
 // each of an address's /48../112 aggregates and its announced prefix
 // (unless that coincides with a fixed level, which must not count the
-// address twice). Shared by the daily full recount and the
-// incremental counter so the two can never drift apart.
+// address twice). Shared by the full recount and add_addresses so the
+// two can never drift apart.
 constexpr std::uint8_t kLevels[] = {48, 64, 96, 112};
 
 template <typename Fn>
@@ -33,42 +35,61 @@ void for_each_level_prefix(const Address& a, const netsim::BgpTable& bgp,
   }
 }
 
+// Prefixes the per-prefix table holds for a hitlist of
+// `max_addresses`: every counted prefix (the pipeline probes only
+// counted ones), and measured campaigns count ~3.3 prefixes per
+// address, so 4x bounds it.
+std::size_t tracked_bound(std::size_t max_addresses) {
+  return max_addresses * 4 + 64;
+}
+
 }  // namespace
 
-CandidateCounter::CandidateCounter(const netsim::BgpTable& bgp,
-                                   std::size_t min_targets)
-    // min_targets 0 behaves like 1: the full recount admits every
-    // *counted* prefix (counts start at 1), and the crossing check
-    // below must agree — a fresh counter entry starts at 0, which
-    // would otherwise read as "already a candidate" and never cross.
-    : bgp_(&bgp), min_targets_(std::max<std::size_t>(1, min_targets)) {}
+AliasDetector::AliasDetector(netsim::NetworkSim& sim, const ApdOptions& options,
+                             engine::Engine* engine)
+    : sim_(&sim), options_(options), engine_(engine) {
+  if (options_.window_days > SlidingVerdict::kMaxWindowDays) {
+    std::fprintf(stderr, "AliasDetector: window_days %u exceeds the maximum %u\n",
+                 options_.window_days, SlidingVerdict::kMaxWindowDays);
+    std::abort();
+  }
+}
 
-void CandidateCounter::reserve_for(std::size_t max_addresses) {
-  // Every unique address contributes at most 5 level prefixes, and
-  // measured campaigns track ~3.3 prefixes per address — 4x bounds
-  // the table. Each candidate holds at least min_targets of those
-  // contributions, so at most 5 * max_addresses / min_targets prefixes
-  // ever become candidates, and never more than are tracked.
-  const std::size_t tracked = max_addresses * 4 + 64;
-  const std::size_t candidates =
-      std::min(tracked, 5 * max_addresses / min_targets_ + 64);
-  counts_.reserve(tracked);
+std::size_t AliasDetector::candidate_bound(std::size_t max_addresses) const {
+  // Every unique address counts into at most 5 level prefixes, and a
+  // candidate holds at least min_targets of those counts; never more
+  // candidates than the table tracks.
+  return std::min(tracked_bound(max_addresses),
+                  5 * max_addresses / min_targets() + 64);
+}
+
+void AliasDetector::reserve_for(std::size_t max_addresses) {
+  const std::size_t candidates = candidate_bound(max_addresses);
+  state_.reserve(tracked_bound(max_addresses));
   candidates_.reserve(candidates);
   merged_.reserve(candidates);
   crossed_.reserve(candidates);
+  outcomes_.reserve(candidates);
 }
 
-const std::vector<Prefix>& CandidateCounter::add_addresses(
-    const Address* addrs, std::size_t count) {
-  crossed_.clear();
-  if (count == 0) return crossed_;
+AliasDetector::PrefixState& AliasDetector::state_of(const Prefix& prefix) {
+  auto [entry, inserted] = state_.try_emplace(prefix);
+  if (inserted) entry->second.window = SlidingVerdict(options_.window_days);
+  return entry->second;
+}
+
+void AliasDetector::add_addresses(const Address* addrs, std::size_t count) {
+  if (count == 0) return;
   // Counts only ever grow, one per address and level, so a prefix
   // crosses min_targets exactly once: on the increment that reaches
   // it. The crossing set is a pure function of the address set, and
-  // sorting makes the returned order canonical too.
+  // sorting makes its order canonical too.
+  const std::size_t threshold = min_targets();
+  const netsim::BgpTable& bgp = sim_->universe().bgp();
+  crossed_.clear();
   for (std::size_t i = 0; i < count; ++i) {
-    for_each_level_prefix(addrs[i], *bgp_, [&](const Prefix& prefix) {
-      if (++counts_[prefix] == min_targets_) crossed_.push_back(prefix);
+    for_each_level_prefix(addrs[i], bgp, [&](const Prefix& prefix) {
+      if (++state_of(prefix).count == threshold) crossed_.push_back(prefix);
     });
   }
   std::sort(crossed_.begin(), crossed_.end());
@@ -79,16 +100,6 @@ const std::vector<Prefix>& CandidateCounter::add_addresses(
   std::merge(candidates_.begin(), candidates_.end(), crossed_.begin(),
              crossed_.end(), std::back_inserter(merged_));
   candidates_.swap(merged_);
-  return crossed_;
-}
-
-AliasDetector::AliasDetector(netsim::NetworkSim& sim, const ApdOptions& options,
-                             engine::Engine* engine)
-    : sim_(&sim), options_(options), engine_(engine) {}
-
-void AliasDetector::reserve_prefixes(std::size_t max_prefixes) {
-  state_.reserve(max_prefixes);
-  outcomes_.reserve(max_prefixes);
 }
 
 AliasDetector::FanoutSeeds AliasDetector::fanout_seeds(int day) {
@@ -150,15 +161,14 @@ void AliasDetector::run_day_on_prefixes(const std::vector<Prefix>& prefixes,
   // Deterministic merge: windows update serially in input order.
   for (std::size_t i = 0; i < n; ++i) {
     const Prefix& prefix = prefixes[i];
-    auto [entry, inserted] = state_.try_emplace(prefix);
-    if (inserted) entry->second.window = SlidingVerdict(options_.window_days);
-    SlidingVerdict& window = entry->second.window;
+    PrefixState& state = state_of(prefix);
+    SlidingVerdict& window = state.window;
     // The effective previous verdict — a prefix without one yet is
     // clean, so a first-day aliased verdict is a became_aliased event
     // even though the Table-4 flip counter (which measures verdict
     // *instability*) does not count it.
     const bool previous = window.has_verdict() && window.verdict();
-    if (window.update(outcomes_[i].aliased)) ++entry->second.flips;
+    if (window.update(outcomes_[i].aliased)) ++state.flips;
     const bool current = window.verdict();
     if (current != previous) {
       (current ? became_aliased : became_clean)->push_back(prefix);
@@ -186,8 +196,8 @@ std::vector<Prefix> AliasDetector::candidate_prefixes(
 std::map<Prefix, unsigned> AliasDetector::verdict_flips() const {
   std::map<Prefix, unsigned> out;
   // order_lint: allow(sorted-after: emplaced into an ordered std::map keyed by prefix)
-  for (const auto& [prefix, verdict_state] : state_) {
-    if (verdict_state.flips > 0) out.emplace(prefix, verdict_state.flips);
+  for (const auto& [prefix, state] : state_) {
+    if (state.flips > 0) out.emplace(prefix, state.flips);
   }
   return out;
 }
@@ -195,8 +205,8 @@ std::map<Prefix, unsigned> AliasDetector::verdict_flips() const {
 std::vector<Prefix> AliasDetector::current_aliased() const {
   std::vector<Prefix> out;
   // order_lint: allow(sorted-after: membership filter, out is sorted below)
-  for (const auto& [prefix, verdict_state] : state_) {
-    if (verdict_state.window.verdict()) out.push_back(prefix);
+  for (const auto& [prefix, state] : state_) {
+    if (state.window.verdict()) out.push_back(prefix);
   }
   std::sort(out.begin(), out.end());
   return out;

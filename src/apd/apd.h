@@ -6,16 +6,16 @@
 // aliased. Daily verdicts are smoothed with a sliding window
 // (Table 4) to suppress rate-limiting flicker.
 //
-// Steady-state allocation discipline: the persistent per-prefix state
-// lives in flat open-addressing tables (util::FlatMap) instead of
-// node containers, the sliding window is a fixed bit-ring instead of
-// a deque, and every per-day transient (outcomes, crossing lists,
-// transition lists) is a reusable member or a caller-owned list. A
-// warm APD day — new prefixes included, once table capacity has
-// warmed up — therefore performs zero heap allocations, which
-// tests/test_day_alloc.cpp and the symlint noalloc policy's day-loop
-// roots both enforce.
+// One table per detector: AliasDetector keeps everything it knows
+// about a prefix (its hitlist count, its verdict window, its Table-4
+// flip counter) in one util::FlatMap slot, and the window is one
+// 64-bit shift register. Every per-day transient (outcomes, crossing
+// lists, transition lists) is a reusable member or a caller-owned
+// list, so a warm APD day, new prefixes included once table capacity
+// has warmed up, performs zero heap allocations. tests/test_day_alloc.cpp
+// and the symlint noalloc policy's day-loop roots both enforce that.
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -36,7 +36,11 @@ class Observability;
 namespace v6h::apd {
 
 struct ApdOptions {
-  unsigned window_days = 3;   // verdict window (0 = today only)
+  /// Verdict window: a prefix stays aliased while any of its last
+  /// window_days + 1 raw outcomes was (0 = today only). At most
+  /// SlidingVerdict::kMaxWindowDays (63), so the window fits one
+  /// 64-bit register; the AliasDetector constructor aborts above it.
+  unsigned window_days = 3;
   std::size_t min_targets = 2;  // hitlist addresses to make a candidate
   net::Protocol protocol = net::Protocol::kIcmp;
 };
@@ -52,106 +56,44 @@ struct PrefixOutcome {
 /// outcomes was aliased, so a single rate-limited day cannot flip it,
 /// and a prefix ages out after window_days + 1 quiet days.
 ///
-/// The window is a fixed-size bit-ring — one inline word for windows
-/// up to 64 days (every pipeline configuration), a bitset vector
-/// sized once at construction beyond that (Table 4's campaign-length
-/// sweeps) — so update() never allocates; the deque it replaced
-/// allocated its map block at construction even for an empty history,
-/// which was the day loop's dominant heap churn (two allocations per
-/// candidate prefix per day, ~10k/day at bench scale).
+/// The window is one 64-bit shift register: bit d holds the outcome
+/// of d updates ago, today's outcome shifts in at bit 0, and the mask
+/// drops the day that left the window. The verdict is "any bit set",
+/// and update() is O(1) and never allocates.
 class SlidingVerdict {
  public:
+  /// The longest window one register holds (window_days + 1 <= 64).
+  static constexpr unsigned kMaxWindowDays = 63;
+
+  /// Requires window_days <= kMaxWindowDays: a wider window does not
+  /// fit the register, and its mask shift would be undefined.
   explicit SlidingVerdict(unsigned window_days = 0)
-      : window_(static_cast<std::uint32_t>(window_days) + 1) {
-    if (window_ > 64) overflow_.assign((window_ + 63) / 64, 0);
-  }
+      : span_(static_cast<std::uint8_t>(window_days + 1)) {}
 
   /// Feed today's raw outcome; returns true when the windowed verdict
-  /// flipped relative to the previous day. O(1): the verdict is
-  /// "positives in window > 0", tracked by a counter, and the ring
-  /// cursor replaces push/pop, so long windows (Table 4 explores up
-  /// to the full campaign) cost the same as short ones.
+  /// flipped relative to the previous day.
   bool update(bool aliased_today) {
-    std::uint64_t* words = overflow_.empty() ? &bits_ : overflow_.data();
-    const std::uint64_t mask = std::uint64_t{1} << (cursor_ & 63);
-    std::uint64_t& word = words[cursor_ >> 6];
-    if (count_ == window_) {
-      positives_ -= (word & mask) != 0;  // evict the aged-out day
-    } else {
-      ++count_;
-    }
-    word = aliased_today ? (word | mask) : (word & ~mask);
-    positives_ += aliased_today;
-    cursor_ = cursor_ + 1 == window_ ? 0 : cursor_ + 1;
-    const bool verdict = positives_ > 0;
-    const bool flipped = has_verdict_ && verdict != verdict_;
-    verdict_ = verdict;
+    const bool previous = verdict();
+    bits_ = ((bits_ << 1) | std::uint64_t{aliased_today}) &
+            (~std::uint64_t{0} >> (64 - span_));
+    const bool flipped = has_verdict_ && verdict() != previous;
     has_verdict_ = true;
     return flipped;
   }
 
-  bool verdict() const { return verdict_; }
+  bool verdict() const { return bits_ != 0; }
   bool has_verdict() const { return has_verdict_; }
 
  private:
-  std::uint64_t bits_ = 0;               // the ring, windows <= 64
-  std::vector<std::uint64_t> overflow_;  // the ring, windows > 64
-  std::uint32_t window_ = 1;             // ring size = window_days + 1
-  std::uint32_t cursor_ = 0;             // next write position
-  std::uint32_t count_ = 0;              // filled slots, saturates
-  std::uint32_t positives_ = 0;
-  bool verdict_ = false;
+  std::uint64_t bits_ = 0;
+  std::uint8_t span_ = 1;  // window_days + 1, in 1..64
   bool has_verdict_ = false;
-};
-
-/// Persistent multi-level candidate counters for the delta-driven day
-/// loop: instead of re-counting the whole hitlist x 5 levels every
-/// day (AliasDetector::candidate_prefixes), fold in only the day's
-/// new addresses. Each new address bumps its level prefixes straight
-/// in the persistent table, and a prefix becomes a candidate on the
-/// increment that brings it to min_targets. Counts only grow, so the
-/// candidate set — and therefore every downstream probe — equals the
-/// full recount.
-///
-/// Thread discipline: add_addresses runs entirely on the calling
-/// (coordinator) thread; no field is shared with engine workers, and
-/// none is safe to race from outside it.
-class CandidateCounter {
- public:
-  CandidateCounter(const netsim::BgpTable& bgp, std::size_t min_targets);
-
-  /// Pre-size the counters for a universe whose cumulative hitlist
-  /// will hold at most `max_addresses` unique addresses, so counting
-  /// never grows a table mid-campaign (day-loop zero-alloc contract).
-  void reserve_for(std::size_t max_addresses);
-
-  /// Count `count` new (already deduplicated) addresses into the
-  /// persistent per-prefix counters; returns the prefixes whose count
-  /// crossed min_targets on this call, sorted. The sorted candidate
-  /// list below absorbs them immediately. The returned reference is a
-  /// reused scratch member, valid until the next call.
-  const std::vector<ipv6::Prefix>& add_addresses(const ipv6::Address* addrs,
-                                                 std::size_t count);
-
-  /// All prefixes holding >= min_targets hitlist addresses, sorted —
-  /// the same set (and order) AliasDetector::candidate_prefixes
-  /// derives from the cumulative hitlist.
-  const std::vector<ipv6::Prefix>& candidates() const { return candidates_; }
-
-  std::size_t tracked_prefixes() const { return counts_.size(); }
-
- private:
-  const netsim::BgpTable* bgp_;
-  std::size_t min_targets_;
-  util::FlatMap<ipv6::Prefix, std::size_t, ipv6::PrefixHash> counts_;
-  std::vector<ipv6::Prefix> candidates_;
-  // Per-call scratch, reused across calls.
-  std::vector<ipv6::Prefix> crossed_;
-  std::vector<ipv6::Prefix> merged_;
 };
 
 class AliasDetector {
  public:
+  /// Aborts when options.window_days exceeds
+  /// SlidingVerdict::kMaxWindowDays.
   explicit AliasDetector(netsim::NetworkSim& sim, const ApdOptions& options = {},
                          engine::Engine* engine = nullptr);
 
@@ -161,9 +103,28 @@ class AliasDetector {
   /// verdicts.
   void set_observability(obs::Observability* obs) { obs_ = obs; }
 
-  /// Pre-size the per-prefix verdict table (day-loop zero-alloc
-  /// contract; see CandidateCounter::reserve_for).
-  void reserve_prefixes(std::size_t max_prefixes);
+  /// Pre-size the per-prefix table, the candidate list and the
+  /// per-day scratch for a universe whose cumulative hitlist will hold
+  /// at most `max_addresses` unique addresses, so neither counting nor
+  /// an APD day grows a container mid-campaign (day-loop zero-alloc
+  /// contract).
+  void reserve_for(std::size_t max_addresses);
+
+  /// The most candidates a hitlist of `max_addresses` unique addresses
+  /// can yield, which also bounds every list holding at most one entry
+  /// per candidate (outcomes(), a day's verdict transitions).
+  std::size_t candidate_bound(std::size_t max_addresses) const;
+
+  /// Count `count` new (already deduplicated) addresses into the
+  /// per-prefix table. A prefix joins candidates() on the increment
+  /// that brings its count to min_targets. Counts only grow, so
+  /// candidates() always equals candidate_prefixes() over every
+  /// address counted so far, in the same order.
+  void add_addresses(const ipv6::Address* addrs, std::size_t count);
+
+  /// All prefixes holding >= min_targets counted addresses, sorted:
+  /// the pipeline's daily APD batch.
+  const std::vector<ipv6::Prefix>& candidates() const { return candidates_; }
 
   /// The 16 fan-out address seeds of `day`, one per nybble. They do
   /// not depend on the prefix, so run_day_on_prefixes derives them
@@ -195,6 +156,8 @@ class AliasDetector {
 
   /// Multi-level candidate enumeration from hitlist addresses: the
   /// announced prefix plus /48../112 aggregates holding enough targets.
+  /// A full recount over `targets` that reads none of the per-prefix
+  /// table; the day oracle compares candidates() against it.
   std::vector<ipv6::Prefix> candidate_prefixes(
       const std::vector<ipv6::Address>& targets) const;
 
@@ -208,22 +171,39 @@ class AliasDetector {
   const ApdOptions& options() const { return options_; }
 
  private:
-  // Sliding window plus its Table-4 flip counter, stored inline in
-  // the flat table (the separate std::map<Prefix, unsigned> it
-  // replaces allocated a node per first flip).
-  struct VerdictState {
+  // Everything the detector knows about one prefix. A prefix is
+  // usually counted (add_addresses) before it is first probed;
+  // prefixes probed in an explicit batch keep count 0.
+  struct PrefixState {
+    std::uint32_t count = 0;  // counted hitlist addresses inside
+    std::uint32_t flips = 0;  // Table-4 verdict changes
     SlidingVerdict window;
-    unsigned flips = 0;
   };
+
+  // Find or create `prefix`'s entry; a new one gets this detector's
+  // window length.
+  PrefixState& state_of(const ipv6::Prefix& prefix);
+
+  // min_targets 0 counts as 1: a fresh entry starts at 0, which would
+  // otherwise read as "already a candidate" and never cross, while
+  // the full recount admits every counted prefix either way.
+  std::size_t min_targets() const {
+    return std::max<std::size_t>(1, options_.min_targets);
+  }
 
   netsim::NetworkSim* sim_;
   ApdOptions options_;
   engine::Engine* engine_;
   obs::Observability* obs_ = nullptr;
-  util::FlatMap<ipv6::Prefix, VerdictState, ipv6::PrefixHash> state_;
-  // Per-day scratch, reused across calls. Workers write disjoint
-  // index-addressed outcomes_[i] between dispatch and the pool
-  // barrier.
+  util::FlatMap<ipv6::Prefix, PrefixState, ipv6::PrefixHash> state_;
+  std::vector<ipv6::Prefix> candidates_;
+  // Scratch, reused across calls: the prefixes one add_addresses call
+  // brought to min_targets, the candidate merge buffer, and the last
+  // batch's outcomes. Workers write disjoint index-addressed
+  // outcomes_[i] between dispatch and the pool barrier; everything
+  // else here runs on the calling (coordinator) thread.
+  std::vector<ipv6::Prefix> crossed_;
+  std::vector<ipv6::Prefix> merged_;
   std::vector<PrefixOutcome> outcomes_;
 };
 

@@ -42,7 +42,6 @@ Pipeline::Pipeline(const netsim::Universe& universe, netsim::NetworkSim& sim,
       obs_(options_.obs),
       sources_(universe, engine),
       detector_(sim, options_.apd, engine),
-      counter_(universe.bgp(), options_.apd.min_targets),
       scan_engine_(sim, engine) {
   // Stage-level instrumentation inside the scan engine and the APD
   // fan-out; registry storage was allocated when the Observability
@@ -54,25 +53,26 @@ Pipeline::Pipeline(const netsim::Universe& universe, netsim::NetworkSim& sim,
   // sum of its per-source final counts (growth fractions cap at 1),
   // so that sum bounds the store, the resolution cache, the frame's
   // row space, and — at ~5 level prefixes per address — the APD
-  // candidate tables. The aliased set is far smaller (only genuinely
-  // aliased zones survive the 16/16 fan-out), so the filter and the
-  // per-day flip lists get a detection-sized budget with generous
-  // slack; the counting-allocator test (tests/test_day_alloc.cpp)
-  // fails loudly if a campaign ever outgrows any of these.
+  // table and candidate list. A day's verdict transitions hold at
+  // most one entry per candidate. The aliased set is far smaller
+  // (only genuinely aliased zones survive the 16/16 fan-out), so the
+  // filter gets a detection-sized budget with generous slack; the
+  // counting-allocator test (tests/test_day_alloc.cpp) fails loudly
+  // if a campaign ever outgrows any of these.
   const std::size_t bound = sources_.max_unique_addresses();
-  const std::size_t prefix_bound = bound * 4 + 64;
+  const std::size_t candidate_bound = detector_.candidate_bound(bound);
   const std::size_t aliased_budget =
       256 + universe.true_aliased_prefixes().size() * 64;
   store_.reserve(bound);
-  counter_.reserve_for(bound);
-  detector_.reserve_prefixes(prefix_bound);
+  detector_.reserve_for(bound);
   scan_engine_.reserve(bound);
   frame_.reserve(bound);
   filter_.reserve(aliased_budget, 2048 + aliased_budget * 24);
   new_row_aliased_.reserve(bound);
+  flipped_.reserve(candidate_bound);
   affected_rows_.reserve(bound);
-  delta_.became_aliased.reserve(prefix_bound);
-  delta_.became_clean.reserve(prefix_bound);
+  delta_.became_aliased.reserve(candidate_bound);
+  delta_.became_clean.reserve(candidate_bound);
 }
 
 Pipeline::DayReport Pipeline::run_day(int day) {
@@ -110,26 +110,25 @@ Pipeline::DayReport Pipeline::run_day(int day) {
   delta_.row_count = static_cast<std::uint32_t>(store_.size());
 
   // 2. APD over the multi-level candidates: fold only the day's new
-  // rows into the persistent counters. The resulting batch equals a
-  // full recount of the hitlist (AliasDetector::candidate_prefixes),
-  // so every prefix keeps its full daily probe history — which its
-  // windowed verdict depends on.
+  // rows into the detector's per-prefix counts. The resulting batch
+  // equals a full recount of the hitlist
+  // (AliasDetector::candidate_prefixes), so every prefix keeps its
+  // full daily probe history — which its windowed verdict depends on.
   {
     obs::StageSpan span(obs_, obs::Stage::kCandidates);
-    counter_.add_addresses(store_.addresses().data() + delta_.first_new_row,
-                           delta_.new_addresses());
+    detector_.add_addresses(store_.addresses().data() + delta_.first_new_row,
+                            delta_.new_addresses());
   }
-  detector_.run_day_on_prefixes(counter_.candidates(), day,
+  detector_.run_day_on_prefixes(detector_.candidates(), day,
                                 &delta_.became_aliased, &delta_.became_clean);
 
   // 3. Alias filter + per-row verdict flags. Apply the verdict
   // transitions in place, then re-filter exactly the rows whose answer
-  // can have changed: the day's new rows (all flags start clean) and
-  // the members of flipped prefixes — a row outside every flipped
-  // prefix keeps yesterday's longest match. Overlap between the two
-  // sets is harmless: both assign the same freshly-computed verdict.
-  // Removes run first so the tries' freed value slots feed the inserts
-  // (the sets are disjoint, so the order cannot change the filter).
+  // can have changed, each once: the day's new rows (all flags start
+  // clean) and the older members of flipped prefixes — a row outside
+  // every flipped prefix keeps yesterday's longest match. Removes run
+  // first so the tries' freed value slots feed the inserts (the sets
+  // are disjoint, so the order cannot change the filter).
   {
     obs::StageSpan span(obs_, obs::Stage::kRefilter);
     for (const auto& prefix : delta_.became_clean) filter_.remove(prefix);
@@ -140,10 +139,15 @@ Pipeline::DayReport Pipeline::run_day(int day) {
     for (std::size_t i = 0; i < new_row_aliased_.size(); ++i) {
       store_.set_aliased(delta_.first_new_row + i, new_row_aliased_[i] != 0);
     }
+    // One lookup over both lists returns each member once, ascending,
+    // so the walk stops at the first new row (already set above).
+    flipped_.assign(delta_.became_aliased.begin(), delta_.became_aliased.end());
+    flipped_.insert(flipped_.end(), delta_.became_clean.begin(),
+                    delta_.became_clean.end());
     affected_rows_.clear();
-    store_.rows_within_many(delta_.became_aliased, &affected_rows_);
-    store_.rows_within_many(delta_.became_clean, &affected_rows_);
+    store_.rows_within_many(flipped_, &affected_rows_);
     for (const auto row : affected_rows_) {
+      if (row >= delta_.first_new_row) break;
       store_.set_aliased(row, filter_.is_aliased(store_.address(row)));
     }
   }

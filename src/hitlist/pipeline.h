@@ -5,7 +5,7 @@
 // targets across the protocol set.
 //
 // The day loop is delta-driven: each run_day folds only the day's new
-// addresses into the persistent candidate counters, applies the APD
+// addresses into the detector's per-prefix counts, applies the APD
 // verdict transitions to a persistent alias filter in place, and
 // re-filters only the new rows plus the members of flipped prefixes.
 //
@@ -170,16 +170,17 @@ class Pipeline {
   obs::Observability* obs_;          // borrowed; null = disabled
   sources::SourceSimulator sources_;
   apd::AliasDetector detector_;
-  apd::CandidateCounter counter_;
   scan::ScanEngine scan_engine_;
   TargetStore store_;
   AliasFilter filter_;
   DayDelta delta_;
   scan::ScanFrame frame_;
   // Re-filter buffers, coordinator-owned and refilled once per
-  // run_day: the verdict column for the day's new rows, and the rows
-  // inside prefixes whose verdict flipped today.
+  // run_day: the verdict column for the day's new rows, the day's
+  // flipped prefixes (both transition lists), and the rows inside
+  // them.
   std::vector<char> new_row_aliased_;
+  std::vector<ipv6::Prefix> flipped_;
   std::vector<std::uint32_t> affected_rows_;
 };
 

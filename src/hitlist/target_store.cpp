@@ -42,18 +42,13 @@ void TargetStore::reserve(std::size_t max_rows) {
   merge_scratch_.reserve(max_rows);
   tail_.reserve(kTailLimit);
   spans_.reserve(64);
-  unaliased_rows_.reserve(max_rows);
-  unaliased_scratch_.reserve(max_rows);
-  pending_flips_.reserve(max_rows);
   hits_scratch_.reserve(max_rows);
   batch_scratch_.reserve(max_rows);
 }
 
 bool TargetStore::insert(const Address& a, int day) {
+  if (!index_.insert(a)) return false;
   const auto row = static_cast<std::uint32_t>(addresses_.size());
-  auto [entry, inserted] = index_.try_emplace(a);
-  if (!inserted) return false;
-  entry->second = row;
   addresses_.push_back(a);
   first_seen_.push_back(day);
   aliased_.push_back(0);
@@ -124,44 +119,6 @@ void TargetStore::rows_within_many(const std::vector<Prefix>& prefixes,
       std::unique(batch_scratch_.begin(), batch_scratch_.end()),
       batch_scratch_.end());
   rows->insert(rows->end(), batch_scratch_.begin(), batch_scratch_.end());
-}
-
-const std::vector<std::uint32_t>& TargetStore::unaliased_rows() const {
-  if (!pending_flips_.empty()) {
-    // Fold the recorded verdict flips into the sorted index with one
-    // linear merge. Membership is re-read from the current flag, so a
-    // row that flipped twice (back to its indexed state) is handled
-    // for free, and duplicates in the pending list are harmless.
-    std::sort(pending_flips_.begin(), pending_flips_.end());
-    pending_flips_.erase(
-        std::unique(pending_flips_.begin(), pending_flips_.end()),
-        pending_flips_.end());
-    unaliased_scratch_.clear();
-    std::size_t i = 0;  // over unaliased_rows_
-    std::size_t j = 0;  // over pending_flips_
-    while (i < unaliased_rows_.size() || j < pending_flips_.size()) {
-      if (j == pending_flips_.size() ||
-          (i < unaliased_rows_.size() &&
-           unaliased_rows_[i] < pending_flips_[j])) {
-        unaliased_scratch_.push_back(unaliased_rows_[i++]);
-        continue;
-      }
-      const std::uint32_t row = pending_flips_[j++];
-      if (i < unaliased_rows_.size() && unaliased_rows_[i] == row) ++i;
-      if (aliased_[row] == 0) unaliased_scratch_.push_back(row);
-    }
-    // Swap keeps both buffers' capacities alive for the next flip day.
-    std::swap(unaliased_rows_, unaliased_scratch_);
-    pending_flips_.clear();
-  }
-  // Sweep the rows appended since the last call (always a suffix, so
-  // appending preserves the ascending order).
-  for (std::uint32_t row = indexed_rows_;
-       row < static_cast<std::uint32_t>(addresses_.size()); ++row) {
-    if (aliased_[row] == 0) unaliased_rows_.push_back(row);
-  }
-  indexed_rows_ = static_cast<std::uint32_t>(addresses_.size());
-  return unaliased_rows_;
 }
 
 }  // namespace v6h::hitlist

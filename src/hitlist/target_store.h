@@ -6,7 +6,7 @@
 // stages need (first-seen day, current aliased verdict) live in their
 // own dense arrays so a stage touches only the bytes it reads.
 //
-// First-seen dedup runs on a flat hash index; the "all targets inside
+// First-seen dedup runs on a flat hash set; the "all targets inside
 // this prefix" range queries run on sorted-run blocks: appended rows
 // collect in a small tail, spill into a sorted run, and runs merge
 // geometrically (logarithmic-method) so each stays a dense sorted
@@ -71,25 +71,12 @@ class TargetStore {
   int first_seen_day(std::size_t row) const { return first_seen_[row]; }
   bool aliased(std::size_t row) const { return aliased_[row] != 0; }
 
-  /// Flip a row's aliased verdict. The incremental unaliased-row
-  /// index records the flip (rows not yet indexed are swept up by the
-  /// next unaliased_rows() call instead).
-  void set_aliased(std::size_t row, bool value) {
-    if ((aliased_[row] != 0) == value) return;
-    aliased_[row] = value;
-    if (row < indexed_rows_) pending_flips_.push_back(static_cast<std::uint32_t>(row));
-  }
+  /// The aliased-flag column, one byte per row (nonzero = inside
+  /// detected aliased space). The day's scan list is swept from it
+  /// (scan::ScanFrame::admit_unaliased).
+  const std::vector<char>& aliased() const { return aliased_; }
 
-  /// The rows whose current aliased flag is clear, in ascending row
-  /// (= insertion) order: the day's scan list. Maintained
-  /// incrementally — rows appended since the last call are swept once
-  /// (O(new)), and recorded verdict flips are folded in with one
-  /// linear merge on the (rare) days any occurred — instead of
-  /// re-gathering the whole flags column per scan. Steady-state calls
-  /// perform no heap allocations once capacity is warm. Lazily
-  /// flushed under the hood: not safe to race with concurrent calls,
-  /// like every other mutation of the store.
-  const std::vector<std::uint32_t>& unaliased_rows() const;
+  void set_aliased(std::size_t row, bool value) { aliased_[row] = value; }
 
   /// Append the rows whose address lies inside any of `prefixes`, in
   /// ascending row order without duplicates (nested flip prefixes
@@ -124,7 +111,7 @@ class TargetStore {
   std::vector<ipv6::Address> addresses_;
   std::vector<std::int32_t> first_seen_;
   std::vector<char> aliased_;
-  util::FlatMap<ipv6::Address, std::uint32_t, ipv6::AddressHash> index_;
+  util::FlatSet<ipv6::Address, ipv6::AddressHash> index_;
   // Ordered index: geometric sorted runs in one arena + an unsorted
   // recent tail. merge_scratch_ is the reused merge buffer (adjacent
   // runs merge through it and copy back in place).
@@ -132,23 +119,12 @@ class TargetStore {
   std::vector<RunSpan> spans_;
   std::vector<Entry> tail_;
   std::vector<Entry> merge_scratch_;
-  // Reused query scratch for the range gathers. Mutable like the
-  // unaliased index below: logically-const reads fill caches.
+  // Reused scratch of rows_within_many. Mutable because that const
+  // query writes it, so the store is thread-compatible, not
+  // thread-safe: the day loop's coordinator thread owns all calls, and
+  // engine workers only see columns handed to them between mutations.
   mutable std::vector<Entry> hits_scratch_;
   mutable std::vector<std::uint32_t> batch_scratch_;
-  // Incremental unaliased-row index. `unaliased_rows_` covers rows
-  // [0, indexed_rows_); `pending_flips_` holds indexed rows whose
-  // flag changed since the last flush. Mutable: the flush is a cache
-  // fill behind a logically-const read — which makes even const
-  // methods WRITE these fields. The store is therefore
-  // thread-compatible, not thread-safe: the day loop's coordinator
-  // thread owns all calls, and engine workers only ever see columns
-  // handed to them by value/pointer between mutations (no const
-  // method of this class is safe to race with any other call).
-  mutable std::vector<std::uint32_t> unaliased_rows_;
-  mutable std::vector<std::uint32_t> unaliased_scratch_;
-  mutable std::vector<std::uint32_t> pending_flips_;
-  mutable std::uint32_t indexed_rows_ = 0;
 };
 
 }  // namespace v6h::hitlist

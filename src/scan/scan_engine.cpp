@@ -109,9 +109,11 @@ void ScanEngine::sync(const hitlist::TargetStore& store, int day) {
 
 void ScanEngine::scan_store(const hitlist::TargetStore& store, int day,
                             const ProbeSchedule& schedule, ScanFrame* frame) {
-  const auto& rows = store.unaliased_rows();
+  // admitted_targets(n) = min(budget / probes_per_target, n), so the
+  // frame gets the first admitted_targets(u) of the u unaliased rows.
   frame->reset(day, store.addresses().data(), store.size());
-  frame->admit(rows.data(), schedule.admitted_targets(rows.size()));
+  frame->admit_unaliased(store.aliased().data(),
+                         schedule.admitted_targets(store.size()));
   run_scan(*sim_, engine_, obs_, table_.columns(), day, schedule, frame);
 }
 

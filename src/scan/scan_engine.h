@@ -54,11 +54,11 @@ class ScanEngine {
   /// append the rows added since the last sync (the DayDelta suffix).
   void sync(const hitlist::TargetStore& store, int day);
 
-  /// The daily protocol scan: probe every non-aliased row of `store`
-  /// (read off its incremental unaliased-row index) under `schedule`,
-  /// filling `frame` in place — clear()+refill with capacity
-  /// retained, so a steady-state day allocates nothing. Requires
-  /// sync(store, day) first.
+  /// The daily protocol scan: probe the non-aliased rows of `store`
+  /// (swept from its aliased-flag column, as many as the schedule's
+  /// budget admits) under `schedule`, filling `frame` in place —
+  /// clear()+refill with capacity retained, so a steady-state day
+  /// allocates nothing. Requires sync(store, day) first.
   void scan_store(const hitlist::TargetStore& store, int day,
                   const ProbeSchedule& schedule, ScanFrame* frame);
 

@@ -12,8 +12,12 @@ void ScanFrame::reset(int day, const ipv6::Address* addrs,
   responsive_any_ = 0;
 }
 
-void ScanFrame::admit(const std::uint32_t* rows, std::size_t count) {
-  rows_.assign(rows, rows + count);
+void ScanFrame::admit_unaliased(const char* aliased, std::size_t limit) {
+  rows_.clear();
+  const std::size_t row_count = masks_.size();
+  for (std::size_t row = 0; row < row_count && rows_.size() < limit; ++row) {
+    if (aliased[row] == 0) rows_.push_back(static_cast<std::uint32_t>(row));
+  }
 }
 
 void ScanFrame::admit_iota(std::size_t count) {

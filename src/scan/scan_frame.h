@@ -7,12 +7,13 @@
 // A frame holds one per-row ProtocolMask column aligned with the
 // producer's row space (hitlist::TargetStore rows for the daily scan,
 // input-list positions for ad-hoc scans), the admitted-row index the
-// schedule actually probed, and O(1) response tallies computed in one
-// serial pass at scan end. clear()+refill retains capacity, so a
-// steady-state day performs zero heap allocations in the scan path
-// (tests/test_scan_frame.cpp enforces this with a counting
-// allocator). Consumers read the admitted rows and their masks in
-// place once the scan call returns.
+// schedule actually probed (the daily scan sweeps it from the store's
+// aliased-flag column, so it is the only scan list), and O(1)
+// response tallies computed in one serial pass at scan end.
+// clear()+refill retains capacity, so a steady-state day performs
+// zero heap allocations in the scan path (tests/test_scan_frame.cpp
+// enforces this with a counting allocator). Consumers read the
+// admitted rows and their masks in place once the scan call returns.
 
 #include <array>
 #include <cstdint>
@@ -68,8 +69,10 @@ class ScanFrame {
   /// nothing.
   void reset(int day, const ipv6::Address* addrs, std::size_t row_count);
 
-  /// Copy the admitted-row index (each must be < row_count()).
-  void admit(const std::uint32_t* rows, std::size_t count);
+  /// Admit the first `limit` rows whose `aliased` flag is clear, in
+  /// row order: the sweep reads one flag per row of row_count() and
+  /// stops once `limit` rows are admitted.
+  void admit_unaliased(const char* aliased, std::size_t limit);
 
   /// Admit rows 0..count-1 (ad-hoc list scans).
   void admit_iota(std::size_t count);

@@ -6,7 +6,7 @@
 //
 //  - The APD batch in detector().outcomes() equals the full recount
 //    AliasDetector::candidate_prefixes(targets()), in order (the
-//    incremental CandidateCounter must never drift).
+//    detector's incremental per-prefix counts must never drift).
 //  - Each fan-out count equals NetworkSim::probe over the prefix's 16
 //    fan-out addresses at seq = nybble, on the reference NetworkSim
 //    below.

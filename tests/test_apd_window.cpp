@@ -1,10 +1,12 @@
-// Unit tests for the Table-4 sliding-window smoothing (ISSUE 2):
-// flicker suppression, the window_days = 0 edge, and a prefix aging
-// out of the aliased set — first on the extracted SlidingVerdict,
-// then end-to-end through AliasDetector on a simulated universe,
-// including the per-day verdict transition lists.
+// Unit tests for the Table-4 sliding-window smoothing: flicker
+// suppression, the window_days = 0 and 63 edges, a prefix aging out
+// of the aliased set, and the shift register against a brute-force
+// window over every length 0..63 — first on SlidingVerdict, then
+// end-to-end through AliasDetector on a simulated universe, including
+// the per-day verdict transition lists.
 
 #include <algorithm>
+#include <deque>
 #include <iterator>
 #include <vector>
 
@@ -12,6 +14,7 @@
 #include "netsim/network_sim.h"
 #include "netsim/universe.h"
 #include "test_main.h"
+#include "util/rng.h"
 
 using namespace v6h;
 using apd::SlidingVerdict;
@@ -71,23 +74,60 @@ void run_tests() {
     CHECK(window.verdict());
   }
 
-  // Long window: update is O(1) via the positives counter, and a
-  // single aliased day survives exactly window_days quiet days even
-  // when the window spans most of a campaign.
+  // The widest window, 63 days: all 64 register bits are live, and a
+  // single aliased day survives exactly 63 quiet days.
   {
-    constexpr unsigned kLongWindow = 10000;
-    SlidingVerdict window(kLongWindow);
+    constexpr unsigned kWidest = SlidingVerdict::kMaxWindowDays;
+    SlidingVerdict window(kWidest);
     unsigned flips = window.update(true);
-    for (unsigned day = 1; day <= kLongWindow; ++day) {
+    for (unsigned day = 1; day <= kWidest; ++day) {
       flips += window.update(false);
       CHECK(window.verdict());  // the true day is still inside
     }
     CHECK_EQ(flips, 0u);
-    CHECK(window.update(false));  // day kLongWindow + 1: aged out
+    CHECK(window.update(false));  // day kWidest + 1: aged out
     CHECK(!window.verdict());
     // And re-detection after the long quiet stretch flips back once.
     CHECK(window.update(true));
     CHECK(window.verdict());
+  }
+
+  // Brute force: every window length 0..63 against a deque of the
+  // last window_days + 1 outcomes over seeded random ~200-day
+  // sequences. The reference verdict is "any outcome aliased"; a flip
+  // is a verdict change after the first update. Aliased days come in
+  // three densities so both long quiet stretches and long aliased
+  // streaks occur.
+  {
+    util::Rng rng(63);
+    std::size_t mismatches = 0;
+    std::size_t reference_flips = 0;
+    for (unsigned window_days = 0; window_days <= SlidingVerdict::kMaxWindowDays;
+         ++window_days) {
+      for (const double aliased_share : {0.02, 0.3, 0.9}) {
+        SlidingVerdict window(window_days);
+        std::deque<bool> last;
+        bool has_verdict = false;
+        bool verdict = false;
+        const std::size_t days = 180 + rng.uniform(40);
+        for (std::size_t day = 0; day < days; ++day) {
+          const bool today = rng.uniform_real() < aliased_share;
+          last.push_back(today);
+          if (last.size() > window_days + 1) last.pop_front();
+          const bool expected =
+              std::find(last.begin(), last.end(), true) != last.end();
+          const bool expected_flip = has_verdict && expected != verdict;
+          has_verdict = true;
+          verdict = expected;
+          reference_flips += expected_flip;
+          const bool flipped = window.update(today);
+          mismatches += flipped != expected_flip ||
+                        window.verdict() != expected || !window.has_verdict();
+        }
+      }
+    }
+    CHECK_EQ(mismatches, 0u);
+    CHECK(reference_flips > 0);  // the sequences did flip verdicts
   }
 
   // A fresh window has no verdict to flip: the first update never

@@ -1,16 +1,17 @@
 // The scan contract of the day loop: for seeds {1,2,3} x threads
 // {1,4} x 10 mid-campaign days (crossing rotation epochs while cached
 // rows age), every scanned mask must equal NetworkSim::probe and the
-// streamed rows must mirror the frame (day_oracle.h checks both every
-// day). The scan results must be byte-identical for every thread
-// count, under the default schedule, a protocol subset, and a
-// retrying schedule whose budget admits only part of each day's
-// unaliased rows. The resolution cache must cover every row and must
-// have cached rotating rows, or the epoch-refresh machinery went
-// untested.
+// frame's rows must be the admitted unaliased rows (day_oracle.h
+// checks both every day). The scan results must be byte-identical
+// for every thread count, under the default schedule, a protocol
+// subset, and a retrying schedule whose budget admits only part of
+// each day's unaliased rows. The resolution cache must cover every
+// row and must have cached rotating rows, or the epoch-refresh
+// machinery went untested.
 //
 // Accepts `--threads N` (repeatable) for extra thread counts.
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -44,8 +45,10 @@ RunResult run_scan(std::uint64_t seed, unsigned threads,
        day < campaign.kFirstDay + campaign.kDays; ++day) {
     const auto report = campaign.run_day(day);
     const auto& frame = report.scan();
-    result.trimmed_days += report.scanned_targets <
-                           campaign.pipeline.store().unaliased_rows().size();
+    const auto& aliased = campaign.pipeline.store().aliased();
+    result.trimmed_days +=
+        report.scanned_targets <
+        static_cast<std::size_t>(std::count(aliased.begin(), aliased.end(), 0));
     field("\nday ", static_cast<std::uint64_t>(day));
     field(" scanned=", report.scanned_targets);
     field(" any=", frame.responsive_any_count());

@@ -1,10 +1,11 @@
 // The zero-allocation scan-result contract: a warm ScanEngine
 // refilling a warm ScanFrame over a warm TargetStore must perform zero
-// heap allocations in the scan path — scan_store, including the
-// unaliased-row index read, the frame reset/admit, the probe sweep,
-// and the completion pass. Enforced with a global counting
-// allocator. Also covers ScanFrame semantics: reuse across days and
-// tallies vs a brute-force recount, also after a pipeline day.
+// heap allocations in the scan path — scan_store, including the frame
+// reset, the admission sweep over the aliased-flag column, the probe
+// sweep, and the completion pass. Enforced with a global counting
+// allocator. Also covers ScanFrame semantics: reuse across days,
+// admission against a flag array, and tallies vs a brute-force
+// recount, also after a pipeline day.
 
 #include <vector>
 
@@ -52,8 +53,7 @@ void run_zero_allocation_scan() {
   hitlist::TargetStore store = build_store(universe);
   CHECK(store.size() > 500);
 
-  // Warm-up day: capacities fill, the resolution table extends, the
-  // unaliased-row index flushes.
+  // Warm-up day: capacities fill, the resolution table extends.
   scan::ScanEngine engine(sim);  // serial: the contract is per-thread
   scan::ScanFrame frame;
   scan::ProbeSchedule schedule;
@@ -63,8 +63,7 @@ void run_zero_allocation_scan() {
   CHECK(frame.responsive_any_count() > 0);
 
   // Steady state: same store, next days — sync finds nothing to
-  // extend, the index has no pending flips, the frame refills in
-  // place. Zero heap allocations.
+  // extend, the frame refills in place. Zero heap allocations.
   for (const int day : {day0, day0 + 1, day0 + 2}) {
     const std::uint64_t before = allocations();
     engine.sync(store, day);
@@ -74,14 +73,13 @@ void run_zero_allocation_scan() {
     CHECK_EQ(frame.day(), day);
   }
 
-  // A flip day re-merges the index and keeps scanning; once the
-  // pending/scratch buffers are warm (one prior flush) a flip batch
-  // that cannot grow the scan list past its high-water mark merges
-  // allocation-free too.
+  // Flip days in both directions: the admission sweep re-reads the
+  // flags, and a scan list that stays within its high-water mark (the
+  // warm-up day's, since about 90% of the toggled rows were clean)
+  // refills allocation-free.
   for (std::size_t row = 0; row < store.size(); row += 97) {
     store.set_aliased(row, !store.aliased(row));
   }
-  (void)store.unaliased_rows();  // flush once so scratch capacity is warm
   for (std::size_t row = 0; row < store.size(); row += 113) {
     store.set_aliased(row, true);  // shrink-only batch
   }
@@ -120,11 +118,13 @@ void run_frame_semantics() {
   CHECK_EQ(frame.responsive_any_count(), 7u);  // masks 1..7 nonzero
   CHECK_EQ(frame.responsive_count(net::Protocol::kIcmp), 4u);  // odd masks
 
-  // Refill smaller with an explicit admitted subset: old tallies and
-  // masks must vanish.
-  const std::uint32_t subset[] = {1, 3};
+  // Refill smaller, admitting the clean rows of a flag array: old
+  // tallies and masks must vanish. A limit stops the sweep early.
+  const char aliased[] = {1, 0, 1, 0};
   frame.reset(6, addrs.data(), 4);
-  frame.admit(subset, 2);
+  frame.admit_unaliased(aliased, 1);
+  CHECK(frame.rows() == std::vector<std::uint32_t>{1});
+  frame.admit_unaliased(aliased, 4);
   frame.mutable_masks()[3] = net::mask_of(net::Protocol::kUdp53);
   frame.finish();
   CHECK_EQ(frame.row_count(), 4u);
