@@ -116,17 +116,11 @@ PrefixOutcome AliasDetector::probe_prefix(const Prefix& prefix,
                                           int day) const {
   // Fan-out addresses are salted per day, so nothing carries across
   // days. Within a day the 16 addresses share the prefix's zone-trie
-  // path, which the batch below walks once; address n goes out at
-  // seq n.
-  Address targets[16];
-  for (unsigned nybble = 0; nybble < 16; ++nybble) {
-    targets[nybble] = prefix.seeded_fanout_address(nybble, seeds[nybble]);
-  }
+  // path, which the decision walks once; address n goes out at seq n.
   PrefixOutcome outcome;
   outcome.prefix = prefix;
-  outcome.responded =
-      sim_->count_responding(prefix, targets, 16, options_.protocol, day);
-  outcome.aliased = outcome.responded == 16;
+  outcome.aliased = sim_->all_respond(prefix, seeds.data(), seeds.size(),
+                                      options_.protocol, day);
   return outcome;
 }
 

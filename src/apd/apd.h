@@ -47,8 +47,7 @@ struct ApdOptions {
 
 struct PrefixOutcome {
   ipv6::Prefix prefix;
-  unsigned responded = 0;  // of the 16 fan-out probes
-  bool aliased = false;    // today's raw outcome (pre-window)
+  bool aliased = false;  // all 16 fan-out probes answered (pre-window)
 };
 
 /// Table-4 sliding-window smoother for one prefix: the windowed
@@ -132,8 +131,9 @@ class AliasDetector {
   using FanoutSeeds = std::array<std::uint64_t, 16>;
   static FanoutSeeds fanout_seeds(int day);
 
-  /// One candidate's fan-out: its 16 addresses under `prefix`, counted
-  /// by one NetworkSim::count_responding batch. Reads no mutable
+  /// One candidate's fan-out: one NetworkSim::all_respond decision
+  /// over its 16 addresses under `prefix`, which stops evaluating at
+  /// the first silent one but counts all 16 probes. Reads no mutable
   /// detector state, so engine workers run it concurrently.
   PrefixOutcome probe_prefix(const ipv6::Prefix& prefix,
                              const FanoutSeeds& seeds, int day) const;

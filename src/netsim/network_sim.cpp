@@ -106,7 +106,7 @@ bool resolved_responds(const ZoneProbeParams& zp, std::uint8_t flags,
 }
 
 // Does `a`, inside `zone`, answer `protocol` at (day, seq)? The
-// responded predicate probe() and count_responding() share, plus what
+// responded predicate probe() and all_respond() share, plus what
 // probe()'s machine image keys on once it does.
 struct Answer {
   bool responded = false;
@@ -243,20 +243,20 @@ ProbeResult NetworkSim::probe(const Address& a, net::Protocol protocol, int day,
   return out;
 }
 
-unsigned NetworkSim::count_responding(const ipv6::Prefix& prefix,
-                                      const Address* addrs, unsigned count,
-                                      net::Protocol protocol, int day) {
+bool NetworkSim::all_respond(const ipv6::Prefix& prefix,
+                             const std::uint64_t* seeds, unsigned count,
+                             net::Protocol protocol, int day) {
   probes_sent_.fetch_add(count, std::memory_order_relaxed);
   const Universe::ZoneCursor cursor = universe_->zone_cursor(prefix);
-  unsigned responded = 0;
-  for (unsigned i = 0; i < count; ++i) {
-    const Zone* zone = universe_->zone_at(cursor, addrs[i]);
-    if (zone == nullptr) continue;
+  for (unsigned n = 0; n < count; ++n) {
+    const Address a = prefix.seeded_fanout_address(n, seeds[n]);
+    const Zone* zone = universe_->zone_at(cursor, a);
+    if (zone == nullptr) return false;
     const ZoneProbeParams& zp =
         zone_params_[static_cast<std::size_t>(zone - universe_->zones().data())];
-    responded += answer_of(*zone, zp, addrs[i], protocol, day, i).responded;
+    if (!answer_of(*zone, zp, a, protocol, day, n).responded) return false;
   }
-  return responded;
+  return true;
 }
 
 void NetworkSim::probe_resolved_mask(const ResolvedColumns& t,

@@ -9,12 +9,14 @@
 //    inversion, service mask) on every call and, when it answers,
 //    derive its machine image. The model's definition: the
 //    fingerprint analyses and the test oracles use it.
-//  - count_responding(): the APD fan-out. How many of a batch of
-//    addresses inside one prefix answer, at seq 0, 1, ...: one
-//    zone-trie descent to the prefix, then only the bits below it per
-//    address, the responded predicate only (no machine image), and
-//    one counter add for the batch. The count equals the sum of
-//    probe().responded (tests/test_probe_kernel.cpp, and every day of
+//  - all_respond(): the APD fan-out decision. Do all of a prefix's
+//    fan-out addresses answer, address n at seq n? One zone-trie
+//    descent to the prefix, then only the bits below it per address
+//    and the responded predicate only (no machine image); address n
+//    is built only once addresses 0..n-1 answered, so the first
+//    silent one settles it. One counter add covers every probe the
+//    measurement sends. The decision equals "every probe().responded"
+//    (tests/test_probe_kernel.cpp, and every day of
 //    tests/day_oracle.h).
 //  - resolve() + probe_resolved_mask(): hoist what is immutable per
 //    address (per rotation epoch) into a ResolvedTarget record once,
@@ -114,15 +116,17 @@ class NetworkSim {
   ProbeResult probe(const ipv6::Address& a, net::Protocol protocol, int day,
                     unsigned seq = 0);
 
-  /// APD fan-out batch: how many of `addrs[0..count)`, all inside
-  /// `prefix`, answer `protocol` at `day`, address i at seq i. Equals
-  /// the sum of probe(addrs[i], protocol, day, i).responded and
-  /// counts `count` probes, but descends the zone trie once for the
-  /// whole batch and derives no machine image. Pure apart from that
-  /// one counter add, so engine workers may call it concurrently.
-  unsigned count_responding(const ipv6::Prefix& prefix,
-                            const ipv6::Address* addrs, unsigned count,
-                            net::Protocol protocol, int day);
+  /// APD fan-out decision: whether every fan-out address n < count
+  /// of `prefix` (prefix.seeded_fanout_address(n, seeds[n])) answers
+  /// `protocol` at `day`, address n at seq n. Equals "all of
+  /// probe(address n, protocol, day, n).responded", but descends the
+  /// zone trie once, derives no machine image, and stops at the first
+  /// silent or unrouted address. Counts all `count` probes: the
+  /// measurement sends them, only the simulation stops evaluating.
+  /// Pure apart from that one counter add, so engine workers may call
+  /// it concurrently.
+  bool all_respond(const ipv6::Prefix& prefix, const std::uint64_t* seeds,
+                   unsigned count, net::Protocol protocol, int day);
 
   /// Resolve `a` once at `day`'s rotation epoch. Pure and
   /// thread-safe; the record answers probe_resolved_mask for any

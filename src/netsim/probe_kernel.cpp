@@ -11,7 +11,8 @@
 // the target_clones ifunc. Both clones run the same exact integer and
 // exactly-rounded double operations, so they are bit-identical to
 // each other and to NetworkSim::probe's scalar predicate on any CPU.
-#if defined(__x86_64__) && defined(__GNUC__)
+// No clones under TSan: their ifunc resolver runs before TSan's runtime.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__SANITIZE_THREAD__)
 #define V6H_PROBE_KERNEL_CLONES __attribute__((target_clones("avx2", "default")))
 #else
 #define V6H_PROBE_KERNEL_CLONES

@@ -7,9 +7,9 @@
 //  - The APD batch in detector().outcomes() equals the full recount
 //    AliasDetector::candidate_prefixes(targets()), in order (the
 //    detector's incremental per-prefix counts must never drift).
-//  - Each fan-out count equals NetworkSim::probe over the prefix's 16
-//    fan-out addresses at seq = nybble, on the reference NetworkSim
-//    below.
+//  - Each raw fan-out verdict is "aliased" iff all 16 of the prefix's
+//    fan-out addresses answer NetworkSim::probe at seq = nybble, on
+//    the reference NetworkSim below.
 //  - The filter holds exactly detector().current_aliased(): the same
 //    size, and every prefix of that list.
 //  - Every row's aliased flag equals a linear Prefix::contains scan
@@ -64,19 +64,19 @@ inline hitlist::Pipeline::DayReport run_checked_day(hitlist::Pipeline& pipeline,
   std::vector<ipv6::Prefix> batch;
   for (const auto& outcome : outcomes) batch.push_back(outcome.prefix);
   CHECK(batch == detector.candidate_prefixes(pipeline.targets()));
-  // Each fan-out count against its 16 addresses probed one by one, at
+  // Each raw verdict against its 16 addresses probed one by one, at
   // seq = nybble. These reference probes stay outside the counter
   // window the probe-count check below reads.
   const net::Protocol apd_protocol = pipeline.options().apd.protocol;
   std::size_t fanout_mismatches = 0;
   for (const auto& outcome : outcomes) {
-    unsigned expected = 0;
+    unsigned answered = 0;
     for (unsigned nybble = 0; nybble < 16; ++nybble) {
       const ipv6::Address target = outcome.prefix.fanout_address(
           nybble, util::hash64(day, nybble, 0xA9D));
-      expected += reference.probe(target, apd_protocol, day, nybble).responded;
+      answered += reference.probe(target, apd_protocol, day, nybble).responded;
     }
-    fanout_mismatches += outcome.responded != expected;
+    fanout_mismatches += outcome.aliased != (answered == 16);
   }
   CHECK_EQ(fanout_mismatches, 0u);
   const std::vector<ipv6::Prefix> aliased = detector.current_aliased();

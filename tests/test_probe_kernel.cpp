@@ -9,13 +9,17 @@
 // tests/test_scan_equivalence.cpp, whose every scanned mask must equal
 // NetworkSim::probe.
 //
-// The APD fan-out batch (count_responding) is the other batch form of
+// The APD fan-out decision (all_respond) is the other batch form of
 // probe(): over zone prefixes, /48../112 prefixes around the same
 // address classes, /32 announcements with zones below them, and alias
-// carve-outs with their aliased parents, its count must equal the sum
-// of 16 probe().responded and it must count exactly 16 probes.
+// carve-outs with their aliased parents, it must be true exactly when
+// all 16 probe().responded are, and it must count exactly 16 probes
+// even when it stops at the first silent address. The partial batches
+// must put that first silent address at every position 0..15, so the
+// sweep makes the decision stop at each of them.
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <vector>
 
@@ -94,35 +98,43 @@ std::vector<ipv6::Prefix> fanout_prefixes(
 
 struct FanoutTally {
   std::size_t calls = 0;
-  std::size_t count_mismatches = 0;  // batch count != sum of probe()
-  std::size_t probe_miscounts = 0;   // probes_sent() did not grow by 16
-  std::size_t none = 0;              // 0 of 16 answered
-  std::size_t some = 0;              // 1..15 of 16
-  std::size_t all = 0;               // 16 of 16
+  std::size_t decision_mismatches = 0;  // all_respond != all 16 probe()
+  std::size_t probe_miscounts = 0;      // probes_sent() did not grow by 16
+  std::size_t none = 0;                 // 0 of 16 answered
+  std::size_t some = 0;                 // 1..15 of 16
+  std::size_t all = 0;                  // 16 of 16
+  // Partial batches by the nybble of their first silent address.
+  std::array<std::size_t, 16> first_silent{};
 };
 
-// One fan-out batch under `prefix` against 16 probe() calls on the
+// One fan-out decision under `prefix` against 16 probe() calls on the
 // same addresses at seq = nybble.
 void check_fanout(netsim::NetworkSim& sim, const ipv6::Prefix& prefix,
                   net::Protocol protocol, int day, FanoutTally& tally) {
-  ipv6::Address addrs[16];
-  unsigned expected = 0;
+  std::uint64_t seeds[16];
+  unsigned answered = 0;
+  unsigned first_silent = 16;
   for (unsigned nybble = 0; nybble < 16; ++nybble) {
-    addrs[nybble] =
-        prefix.fanout_address(nybble, util::hash64(day, nybble, 0xfa17));
-    expected += sim.probe(addrs[nybble], protocol, day, nybble).responded;
+    const std::uint64_t salt = util::hash64(day, nybble, 0xfa17);
+    seeds[nybble] = ipv6::Prefix::fanout_seed(nybble, salt);
+    const bool responded =
+        sim.probe(prefix.fanout_address(nybble, salt), protocol, day, nybble)
+            .responded;
+    answered += responded;
+    if (!responded && first_silent == 16) first_silent = nybble;
   }
   const std::uint64_t before = sim.probes_sent();
-  const unsigned counted = sim.count_responding(prefix, addrs, 16, protocol, day);
+  const bool decided = sim.all_respond(prefix, seeds, 16, protocol, day);
   tally.probe_miscounts += sim.probes_sent() - before != 16;
-  tally.count_mismatches += counted != expected;
+  tally.decision_mismatches += decided != (answered == 16);
   ++tally.calls;
-  if (expected == 0) {
+  if (answered == 0) {
     ++tally.none;
-  } else if (expected == 16) {
+  } else if (answered == 16) {
     ++tally.all;
   } else {
     ++tally.some;
+    ++tally.first_silent[first_silent];
   }
 }
 
@@ -181,13 +193,16 @@ void run_tests() {
   CHECK_EQ(disagreements, 0u);
   CHECK(batches == 4u * net::kAllProtocols.size() * 2u * 3u);
 
-  CHECK_EQ(fanout.count_mismatches, 0u);
+  CHECK_EQ(fanout.decision_mismatches, 0u);
   CHECK_EQ(fanout.probe_miscounts, 0u);
   CHECK_EQ(fanout.calls, fanout_prefix_count * net::kAllProtocols.size());
-  // The sweep reaches silent, partial and fully answering prefixes.
+  // The sweep reaches silent, partial and fully answering prefixes,
+  // and the decision has to stop at every position.
   CHECK(fanout.none > 0);
   CHECK(fanout.some > 0);
   CHECK(fanout.all > 0);
+  CHECK(std::count(fanout.first_silent.begin(), fanout.first_silent.end(),
+                   std::size_t{0}) == 0);
   std::printf("fan-out: %zu batches, %zu silent, %zu partial, %zu full\n",
               fanout.calls, fanout.none, fanout.some, fanout.all);
 }
