@@ -185,15 +185,23 @@ const Prefix* silent_prefix(v6h::netsim::NetworkSim& sim,
   return nullptr;
 }
 
-// One candidate's fan-out decision at both ends: a truly aliased
-// prefix, where all 16 addresses are evaluated, and a silent one.
-void BM_ApdPrefixTest(benchmark::State& state, bool aliased) {
+// The universe the APD microbenchmarks share.
+const v6h::netsim::Universe& apd_universe() {
   static const v6h::netsim::Universe universe = [] {
     v6h::netsim::UniverseParams p;
     p.scale = 0.5;
     p.tail_as_count = 500;
     return v6h::netsim::Universe(p);
   }();
+  return universe;
+}
+
+// One candidate's fan-out decision at both ends: a truly aliased
+// prefix, where all 16 addresses are evaluated, and a silent one. The
+// detector keeps each candidate's zone-trie cursor, so the cursor is
+// descended outside the timed loop, as it is outside the day loop.
+void BM_ApdPrefixTest(benchmark::State& state, bool aliased) {
+  const v6h::netsim::Universe& universe = apd_universe();
   v6h::netsim::NetworkSim sim(universe);
   v6h::apd::AliasDetector detector(sim);
   const auto seeds = v6h::apd::AliasDetector::fanout_seeds(0);
@@ -203,12 +211,46 @@ void BM_ApdPrefixTest(benchmark::State& state, bool aliased) {
     state.SkipWithError("no silent zone prefix");
     return;
   }
+  const auto cursor = universe.zone_cursor(*prefix);
   for (auto _ : state) {
-    auto outcome = detector.probe_prefix(*prefix, seeds, 0);
-    benchmark::DoNotOptimize(outcome);
+    const bool aliased_today = detector.probe_prefix(*prefix, cursor, seeds, 0);
+    benchmark::DoNotOptimize(aliased_today);
   }
 }
 BENCHMARK_CAPTURE(BM_ApdPrefixTest, aliased, true);
 BENCHMARK_CAPTURE(BM_ApdPrefixTest, silent, false);
+
+// The zone-trie descent alone: what each candidate-day saves now that
+// a candidate descends once, when it crosses min_targets, instead of
+// once a day. Cycles over the candidates a detector counts from the
+// first four discoverable addresses of every zone, so the prefix
+// lengths mix as a campaign's do.
+void BM_ZoneCursor(benchmark::State& state) {
+  const v6h::netsim::Universe& universe = apd_universe();
+  v6h::netsim::NetworkSim sim(universe);
+  v6h::apd::AliasDetector detector(sim);
+  std::vector<Address> addrs;
+  for (const auto& zone : universe.zones()) {
+    const std::uint32_t count = std::min(zone.discoverable_count(), 4u);
+    for (std::uint32_t index = 0; index < count; ++index) {
+      addrs.push_back(zone.discoverable_address(index, 0));
+    }
+  }
+  std::sort(addrs.begin(), addrs.end());
+  addrs.erase(std::unique(addrs.begin(), addrs.end()), addrs.end());
+  detector.add_addresses(addrs.data(), addrs.size());
+  const std::vector<Prefix>& candidates = detector.candidates();
+  if (candidates.empty()) {
+    state.SkipWithError("no candidates");
+    return;
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto cursor = universe.zone_cursor(candidates[i]);
+    if (++i == candidates.size()) i = 0;
+    benchmark::DoNotOptimize(cursor);
+  }
+}
+BENCHMARK(BM_ZoneCursor);
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <iterator>
 #include <unordered_map>
 
 #include "obs/obs.h"
@@ -43,6 +42,11 @@ std::size_t tracked_bound(std::size_t max_addresses) {
   return max_addresses * 4 + 64;
 }
 
+// Descents per engine chunk. A few crossings on a warm day stay
+// inline (parallel_for runs a range up to one grain on the caller);
+// a first day's thousands spread over the workers.
+constexpr std::size_t kDescentGrain = 256;
+
 }  // namespace
 
 AliasDetector::AliasDetector(netsim::NetworkSim& sim, const ApdOptions& options,
@@ -67,8 +71,9 @@ void AliasDetector::reserve_for(std::size_t max_addresses) {
   const std::size_t candidates = candidate_bound(max_addresses);
   state_.reserve(tracked_bound(max_addresses));
   candidates_.reserve(candidates);
-  merged_.reserve(candidates);
+  cursors_.reserve(candidates);
   crossed_.reserve(candidates);
+  descents_.reserve(candidates);
   outcomes_.reserve(candidates);
 }
 
@@ -93,13 +98,46 @@ void AliasDetector::add_addresses(const Address* addrs, std::size_t count) {
     });
   }
   std::sort(crossed_.begin(), crossed_.end());
-  // Absorb into the sorted candidate list by merging into a reused
-  // scratch and swapping (std::inplace_merge buys a temporary buffer
-  // from the heap; the two vectors circulate their capacity instead).
-  merged_.clear();
-  std::merge(candidates_.begin(), candidates_.end(), crossed_.begin(),
-             crossed_.end(), std::back_inserter(merged_));
-  candidates_.swap(merged_);
+  // A candidate's zone-trie path depends on nothing but its prefix, so
+  // it descends once, here, and keeps the cursor for every later day.
+  descend(crossed_.data(), crossed_.size());
+  // Merge both columns in place, from the back: they grow into their
+  // reserved capacity, and every write lands at or above the slot it
+  // reads, so no second buffer is needed (std::merge forbids an output
+  // that overlaps its input). Once the crossings run out, the
+  // remaining candidates are already in place.
+  std::size_t kept = candidates_.size();
+  std::size_t added = crossed_.size();
+  std::size_t out = kept + added;
+  candidates_.resize(out);
+  cursors_.resize(out);
+  while (added > 0) {
+    --out;
+    if (kept > 0 && crossed_[added - 1] < candidates_[kept - 1]) {
+      --kept;
+      candidates_[out] = candidates_[kept];
+      cursors_[out] = cursors_[kept];
+    } else {
+      --added;
+      candidates_[out] = crossed_[added];
+      cursors_[out] = descents_[added];
+    }
+  }
+}
+
+void AliasDetector::descend(const Prefix* prefixes, std::size_t n) {
+  descents_.resize(n);
+  const netsim::Universe& universe = sim_->universe();
+  auto descend_range = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      descents_[i] = universe.zone_cursor(prefixes[i]);
+    }
+  };
+  if (engine_ != nullptr) {
+    engine_->parallel_for(n, kDescentGrain, descend_range);
+  } else {
+    descend_range(0, n);
+  }
 }
 
 AliasDetector::FanoutSeeds AliasDetector::fanout_seeds(int day) {
@@ -111,40 +149,52 @@ AliasDetector::FanoutSeeds AliasDetector::fanout_seeds(int day) {
   return seeds;
 }
 
-PrefixOutcome AliasDetector::probe_prefix(const Prefix& prefix,
-                                          const FanoutSeeds& seeds,
-                                          int day) const {
-  // Fan-out addresses are salted per day, so nothing carries across
-  // days. Within a day the 16 addresses share the prefix's zone-trie
-  // path, which the decision walks once; address n goes out at seq n.
-  PrefixOutcome outcome;
-  outcome.prefix = prefix;
-  outcome.aliased = sim_->all_respond(prefix, seeds.data(), seeds.size(),
-                                      options_.protocol, day);
-  return outcome;
+bool AliasDetector::probe_prefix(const Prefix& prefix,
+                                 const netsim::Universe::ZoneCursor& cursor,
+                                 const FanoutSeeds& seeds, int day) const {
+  // Fan-out addresses are salted per day, so only the zone-trie path
+  // to the prefix carries across days, and the caller holds it. Within
+  // a day the 16 addresses resume that walk; address n goes out at
+  // seq n.
+  return sim_->all_respond(prefix, cursor, seeds.data(), seeds.size(),
+                           options_.protocol, day);
+}
+
+void AliasDetector::run_day(int day, std::vector<Prefix>* became_aliased,
+                            std::vector<Prefix>* became_clean) {
+  run_batch(candidates_.data(), cursors_.data(), candidates_.size(), day,
+            became_aliased, became_clean);
 }
 
 void AliasDetector::run_day_on_prefixes(const std::vector<Prefix>& prefixes,
                                         int day,
                                         std::vector<Prefix>* became_aliased,
                                         std::vector<Prefix>* became_clean) {
+  descend(prefixes.data(), prefixes.size());
+  run_batch(prefixes.data(), descents_.data(), prefixes.size(), day,
+            became_aliased, became_clean);
+}
+
+void AliasDetector::run_batch(const Prefix* prefixes,
+                              const netsim::Universe::ZoneCursor* cursors,
+                              std::size_t n, int day,
+                              std::vector<Prefix>* became_aliased,
+                              std::vector<Prefix>* became_clean) {
   // Covers the fan-out probes AND the serial window merge; purely
   // observational (lane-local stores + clock reads), so verdicts are
   // identical with obs_ attached or null.
   obs::StageSpan span(obs_, obs::Stage::kApd);
   became_aliased->clear();
   became_clean->clear();
-  const std::size_t n = prefixes.size();
-  outcomes_.clear();
   outcomes_.resize(n);
   // Contiguous index chunks: a sorted candidate batch keeps each chunk
-  // inside one region of the address space. Outcomes are
+  // inside one region of the address space. Verdicts are
   // index-addressed, so the merge below reads them back in input order
   // regardless of scheduling.
   const FanoutSeeds seeds = fanout_seeds(day);
   auto probe_range = [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
-      outcomes_[i] = probe_prefix(prefixes[i], seeds, day);
+      outcomes_[i] = probe_prefix(prefixes[i], cursors[i], seeds, day);
     }
   };
   if (engine_ != nullptr) {
@@ -162,7 +212,7 @@ void AliasDetector::run_day_on_prefixes(const std::vector<Prefix>& prefixes,
     // even though the Table-4 flip counter (which measures verdict
     // *instability*) does not count it.
     const bool previous = window.has_verdict() && window.verdict();
-    if (window.update(outcomes_[i].aliased)) ++state.flips;
+    if (window.update(outcomes_[i] != 0)) ++state.flips;
     const bool current = window.verdict();
     if (current != previous) {
       (current ? became_aliased : became_clean)->push_back(prefix);

@@ -9,11 +9,13 @@
 // One table per detector: AliasDetector keeps everything it knows
 // about a prefix (its hitlist count, its verdict window, its Table-4
 // flip counter) in one util::FlatMap slot, and the window is one
-// 64-bit shift register. Every per-day transient (outcomes, crossing
-// lists, transition lists) is a reusable member or a caller-owned
-// list, so a warm APD day, new prefixes included once table capacity
-// has warmed up, performs zero heap allocations. tests/test_day_alloc.cpp
-// and the symlint noalloc policy's day-loop roots both enforce that.
+// 64-bit shift register. Each candidate also keeps its zone-trie
+// cursor beside it, taken once when it crosses min_targets. Every
+// per-day transient (verdicts, crossing lists, transition lists) is a
+// reusable member or a caller-owned list, so a warm APD day, new
+// prefixes included once table capacity has warmed up, performs zero
+// heap allocations. tests/test_day_alloc.cpp and the symlint noalloc
+// policy's day-loop roots both enforce that.
 
 #include <algorithm>
 #include <array>
@@ -27,6 +29,7 @@
 #include "ipv6/prefix.h"
 #include "net/protocol.h"
 #include "netsim/network_sim.h"
+#include "netsim/universe.h"
 #include "util/flat_hash.h"
 
 namespace v6h::obs {
@@ -43,11 +46,6 @@ struct ApdOptions {
   unsigned window_days = 3;
   std::size_t min_targets = 2;  // hitlist addresses to make a candidate
   net::Protocol protocol = net::Protocol::kIcmp;
-};
-
-struct PrefixOutcome {
-  ipv6::Prefix prefix;
-  bool aliased = false;  // all 16 fan-out probes answered (pre-window)
 };
 
 /// Table-4 sliding-window smoother for one prefix: the windowed
@@ -97,16 +95,16 @@ class AliasDetector {
                          engine::Engine* engine = nullptr);
 
   /// Attach (or detach with nullptr) the observability layer: each
-  /// run_day_on_prefixes batch gets an "apd_fanout" stage span and
-  /// feeds the pipeline.apd_probes counter. Borrowed; never affects
-  /// verdicts.
+  /// run_day or run_day_on_prefixes batch gets an "apd_fanout" stage
+  /// span and feeds the pipeline.apd_probes counter. Borrowed; never
+  /// affects verdicts.
   void set_observability(obs::Observability* obs) { obs_ = obs; }
 
-  /// Pre-size the per-prefix table, the candidate list and the
-  /// per-day scratch for a universe whose cumulative hitlist will hold
-  /// at most `max_addresses` unique addresses, so neither counting nor
-  /// an APD day grows a container mid-campaign (day-loop zero-alloc
-  /// contract).
+  /// Pre-size the per-prefix table, the candidate and cursor columns
+  /// and the per-day scratch for a universe whose cumulative hitlist
+  /// will hold at most `max_addresses` unique addresses, so neither
+  /// counting nor an APD day grows a container mid-campaign (day-loop
+  /// zero-alloc contract).
   void reserve_for(std::size_t max_addresses);
 
   /// The most candidates a hitlist of `max_addresses` unique addresses
@@ -116,43 +114,65 @@ class AliasDetector {
 
   /// Count `count` new (already deduplicated) addresses into the
   /// per-prefix table. A prefix joins candidates() on the increment
-  /// that brings its count to min_targets. Counts only grow, so
-  /// candidates() always equals candidate_prefixes() over every
-  /// address counted so far, in the same order.
+  /// that brings its count to min_targets, and descends the zone trie
+  /// then, once (in index chunks on the engine workers when one is
+  /// attached and the crossings are many, as on a first day). Counts
+  /// only grow, so candidates() always equals candidate_prefixes()
+  /// over every address counted so far, in the same order.
   void add_addresses(const ipv6::Address* addrs, std::size_t count);
 
   /// All prefixes holding >= min_targets counted addresses, sorted:
   /// the pipeline's daily APD batch.
   const std::vector<ipv6::Prefix>& candidates() const { return candidates_; }
 
+  /// Each candidate's zone-trie cursor, aligned with candidates():
+  /// cursors()[i] equals universe().zone_cursor(candidates()[i]). The
+  /// zone trie never changes after the universe is built, so a cursor
+  /// stays valid for the detector's life.
+  const std::vector<netsim::Universe::ZoneCursor>& cursors() const {
+    return cursors_;
+  }
+
   /// The 16 fan-out address seeds of `day`, one per nybble. They do
-  /// not depend on the prefix, so run_day_on_prefixes derives them
-  /// once per batch, on the calling thread.
+  /// not depend on the prefix, so each batch derives them once, on
+  /// the calling thread.
   using FanoutSeeds = std::array<std::uint64_t, 16>;
   static FanoutSeeds fanout_seeds(int day);
 
-  /// One candidate's fan-out: one NetworkSim::all_respond decision
-  /// over its 16 addresses under `prefix`, which stops evaluating at
-  /// the first silent one but counts all 16 probes. Reads no mutable
+  /// One candidate's fan-out: the raw verdict (all 16 answered, before
+  /// the window) of one NetworkSim::all_respond decision over its 16
+  /// addresses under `prefix`, resuming the zone walk at `cursor`
+  /// (universe().zone_cursor(prefix)). It stops evaluating at the
+  /// first silent address but counts all 16 probes. Reads no mutable
   /// detector state, so engine workers run it concurrently.
-  PrefixOutcome probe_prefix(const ipv6::Prefix& prefix,
-                             const FanoutSeeds& seeds, int day) const;
+  bool probe_prefix(const ipv6::Prefix& prefix,
+                    const netsim::Universe::ZoneCursor& cursor,
+                    const FanoutSeeds& seeds, int day) const;
 
-  /// One APD day over a candidate batch: probe (in index chunks on the
-  /// engine workers when one is attached), then update windows in
-  /// input order. `became_aliased` and `became_clean` are cleared and
-  /// refilled, in batch order, with the verdict transitions relative
-  /// to the effective previous verdict (a never-probed prefix counts
-  /// as clean): exactly the delta a persistent AliasFilter applies in
+  /// The pipeline's APD day over candidates(), each decided from its
+  /// cached cursor: probe (in index chunks on the engine workers when
+  /// one is attached), then update windows in candidate order.
+  /// `became_aliased` and `became_clean` are cleared and refilled, in
+  /// batch order, with the verdict transitions relative to the
+  /// effective previous verdict (a never-probed prefix counts as
+  /// clean): exactly the delta a persistent AliasFilter applies in
   /// place. Both lists are caller-owned and keep their capacity, so a
   /// warm APD day is allocation-free.
+  void run_day(int day, std::vector<ipv6::Prefix>* became_aliased,
+               std::vector<ipv6::Prefix>* became_clean);
+
+  /// run_day over an explicit batch, which need not be candidates
+  /// (bench_table4, bench_fig5): each prefix descends the zone trie
+  /// first, then the batch runs the same loop run_day does.
   void run_day_on_prefixes(const std::vector<ipv6::Prefix>& prefixes, int day,
                            std::vector<ipv6::Prefix>* became_aliased,
                            std::vector<ipv6::Prefix>* became_clean);
 
-  /// The last run_day_on_prefixes batch's raw fan-out outcomes, in
-  /// batch order; valid until the next call.
-  const std::vector<PrefixOutcome>& outcomes() const { return outcomes_; }
+  /// The last batch's raw fan-out verdicts, one byte each (nonzero =
+  /// all 16 answered), aligned with that batch: with candidates()
+  /// after run_day, with the caller's list after run_day_on_prefixes.
+  /// Valid until the next call.
+  const std::vector<char>& outcomes() const { return outcomes_; }
 
   /// Multi-level candidate enumeration from hitlist addresses: the
   /// announced prefix plus /48../112 aggregates holding enough targets.
@@ -184,6 +204,16 @@ class AliasDetector {
   // window length.
   PrefixState& state_of(const ipv6::Prefix& prefix);
 
+  // descents_[i] = universe().zone_cursor(prefixes[i]) for i < n.
+  void descend(const ipv6::Prefix* prefixes, std::size_t n);
+
+  // The one APD batch loop: decide prefixes[i] from cursors[i] into
+  // outcomes_[i], then merge the windows serially in batch order.
+  void run_batch(const ipv6::Prefix* prefixes,
+                 const netsim::Universe::ZoneCursor* cursors, std::size_t n,
+                 int day, std::vector<ipv6::Prefix>* became_aliased,
+                 std::vector<ipv6::Prefix>* became_clean);
+
   // min_targets 0 counts as 1: a fresh entry starts at 0, which would
   // otherwise read as "already a candidate" and never cross, while
   // the full recount admits every counted prefix either way.
@@ -196,15 +226,20 @@ class AliasDetector {
   engine::Engine* engine_;
   obs::Observability* obs_ = nullptr;
   util::FlatMap<ipv6::Prefix, PrefixState, ipv6::PrefixHash> state_;
+  // Two aligned columns: the sorted candidates and their cursors.
+  // Written only by add_addresses on the coordinator; run_day's
+  // workers read them after dispatch.
   std::vector<ipv6::Prefix> candidates_;
+  std::vector<netsim::Universe::ZoneCursor> cursors_;
   // Scratch, reused across calls: the prefixes one add_addresses call
-  // brought to min_targets, the candidate merge buffer, and the last
-  // batch's outcomes. Workers write disjoint index-addressed
-  // outcomes_[i] between dispatch and the pool barrier; everything
-  // else here runs on the calling (coordinator) thread.
+  // brought to min_targets, the cursors of the last descend() call,
+  // and the last batch's raw verdicts. Workers write disjoint
+  // index-addressed descents_[i] and outcomes_[i] between dispatch
+  // and the pool barrier; everything else here runs on the calling
+  // (coordinator) thread.
   std::vector<ipv6::Prefix> crossed_;
-  std::vector<ipv6::Prefix> merged_;
-  std::vector<PrefixOutcome> outcomes_;
+  std::vector<netsim::Universe::ZoneCursor> descents_;
+  std::vector<char> outcomes_;
 };
 
 }  // namespace v6h::apd

@@ -110,7 +110,8 @@ Pipeline::DayReport Pipeline::run_day(int day) {
   delta_.row_count = static_cast<std::uint32_t>(store_.size());
 
   // 2. APD over the multi-level candidates: fold only the day's new
-  // rows into the detector's per-prefix counts. The resulting batch
+  // rows into the detector's per-prefix counts, where each new
+  // candidate takes its zone-trie cursor once. The resulting batch
   // equals a full recount of the hitlist
   // (AliasDetector::candidate_prefixes), so every prefix keeps its
   // full daily probe history — which its windowed verdict depends on.
@@ -119,8 +120,7 @@ Pipeline::DayReport Pipeline::run_day(int day) {
     detector_.add_addresses(store_.addresses().data() + delta_.first_new_row,
                             delta_.new_addresses());
   }
-  detector_.run_day_on_prefixes(detector_.candidates(), day,
-                                &delta_.became_aliased, &delta_.became_clean);
+  detector_.run_day(day, &delta_.became_aliased, &delta_.became_clean);
 
   // 3. Alias filter + per-row verdict flags. Apply the verdict
   // transitions in place, then re-filter exactly the rows whose answer

@@ -19,8 +19,8 @@
 // Scan results land in one pipeline-owned scan::ScanFrame reused
 // across days (zero steady-state allocations in the scan path);
 // DayReport borrows it. Each day result is read in one place after
-// run_day returns: the scan rows in the frame, the APD fan-out
-// outcomes in detector().outcomes(), the verdict transitions in
+// run_day returns: the scan rows in the frame, the raw APD verdicts
+// in detector().outcomes(), the verdict transitions in
 // last_delta(), and the aliased set in filter().
 
 #include <cstdint>

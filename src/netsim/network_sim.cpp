@@ -244,10 +244,10 @@ ProbeResult NetworkSim::probe(const Address& a, net::Protocol protocol, int day,
 }
 
 bool NetworkSim::all_respond(const ipv6::Prefix& prefix,
+                             const Universe::ZoneCursor& cursor,
                              const std::uint64_t* seeds, unsigned count,
                              net::Protocol protocol, int day) {
   probes_sent_.fetch_add(count, std::memory_order_relaxed);
-  const Universe::ZoneCursor cursor = universe_->zone_cursor(prefix);
   for (unsigned n = 0; n < count; ++n) {
     const Address a = prefix.seeded_fanout_address(n, seeds[n]);
     const Zone* zone = universe_->zone_at(cursor, a);

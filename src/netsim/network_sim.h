@@ -10,14 +10,16 @@
 //    derive its machine image. The model's definition: the
 //    fingerprint analyses and the test oracles use it.
 //  - all_respond(): the APD fan-out decision. Do all of a prefix's
-//    fan-out addresses answer, address n at seq n? One zone-trie
-//    descent to the prefix, then only the bits below it per address
-//    and the responded predicate only (no machine image); address n
-//    is built only once addresses 0..n-1 answered, so the first
-//    silent one settles it. One counter add covers every probe the
-//    measurement sends. The decision equals "every probe().responded"
-//    (tests/test_probe_kernel.cpp, and every day of
-//    tests/day_oracle.h).
+//    fan-out addresses answer, address n at seq n? The caller hands
+//    in the prefix's zone-trie cursor (Universe::zone_cursor), which
+//    depends on nothing but the prefix, so a candidate descends once
+//    in its life, not once a day; each address then walks only the
+//    bits below the prefix and evaluates the responded predicate only
+//    (no machine image). Address n is built only once addresses
+//    0..n-1 answered, so the first silent one settles it. One counter
+//    add covers every probe the measurement sends. The decision
+//    equals "every probe().responded" (tests/test_probe_kernel.cpp,
+//    and every day of tests/day_oracle.h).
 //  - resolve() + probe_resolved_mask(): hoist what is immutable per
 //    address (per rotation epoch) into a ResolvedTarget record once,
 //    then answer each scan probe's responded bit from the cached
@@ -118,15 +120,19 @@ class NetworkSim {
 
   /// APD fan-out decision: whether every fan-out address n < count
   /// of `prefix` (prefix.seeded_fanout_address(n, seeds[n])) answers
-  /// `protocol` at `day`, address n at seq n. Equals "all of
-  /// probe(address n, protocol, day, n).responded", but descends the
-  /// zone trie once, derives no machine image, and stops at the first
-  /// silent or unrouted address. Counts all `count` probes: the
-  /// measurement sends them, only the simulation stops evaluating.
-  /// Pure apart from that one counter add, so engine workers may call
-  /// it concurrently.
-  bool all_respond(const ipv6::Prefix& prefix, const std::uint64_t* seeds,
-                   unsigned count, net::Protocol protocol, int day);
+  /// `protocol` at `day`, address n at seq n. `cursor` must equal
+  /// universe().zone_cursor(prefix): each address resumes the zone
+  /// walk there, so the caller decides how often to descend. Equals
+  /// "all of probe(address n, protocol, day, n).responded", but
+  /// derives no machine image and stops at the first silent or
+  /// unrouted address. Counts all `count` probes: the measurement
+  /// sends them, only the simulation stops evaluating. Pure apart
+  /// from that one counter add, so engine workers may call it
+  /// concurrently.
+  bool all_respond(const ipv6::Prefix& prefix,
+                   const Universe::ZoneCursor& cursor,
+                   const std::uint64_t* seeds, unsigned count,
+                   net::Protocol protocol, int day);
 
   /// Resolve `a` once at `day`'s rotation epoch. Pure and
   /// thread-safe; the record answers probe_resolved_mask for any

@@ -4,12 +4,17 @@
 // day's state directly against brute-force references instead of
 // diffing two production pipelines.
 //
-//  - The APD batch in detector().outcomes() equals the full recount
+//  - The APD batch, detector().candidates(), equals the full recount
 //    AliasDetector::candidate_prefixes(targets()), in order (the
-//    detector's incremental per-prefix counts must never drift).
-//  - Each raw fan-out verdict is "aliased" iff all 16 of the prefix's
-//    fan-out addresses answer NetworkSim::probe at seq = nybble, on
-//    the reference NetworkSim below.
+//    detector's incremental per-prefix counts must never drift), and
+//    the raw verdict column detector().outcomes() is aligned with it.
+//  - Each candidate's cached cursor, detector().cursors()[i], equals
+//    a fresh universe().zone_cursor(candidate i) field by field. A
+//    verdict check alone would pass a cursor taken higher up the
+//    trie: it resolves the same zones but walks a longer path.
+//  - Raw verdict i is "aliased" iff all 16 of candidate i's fan-out
+//    addresses answer NetworkSim::probe at seq = nybble, on the
+//    reference NetworkSim below.
 //  - The filter holds exactly detector().current_aliased(): the same
 //    size, and every prefix of that list.
 //  - Every row's aliased flag equals a linear Prefix::contains scan
@@ -26,6 +31,7 @@
 // OracleCampaign holds the mid-campaign scenario both day-loop tests
 // sweep (test_pipeline_incremental, test_scan_equivalence).
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -60,23 +66,35 @@ inline hitlist::Pipeline::DayReport run_checked_day(hitlist::Pipeline& pipeline,
   const std::uint64_t day_probes = sim.probes_sent() - probes_before;
 
   const auto& detector = pipeline.detector();
+  const auto& candidates = detector.candidates();
+  const auto& cursors = detector.cursors();
   const auto& outcomes = detector.outcomes();
-  std::vector<ipv6::Prefix> batch;
-  for (const auto& outcome : outcomes) batch.push_back(outcome.prefix);
-  CHECK(batch == detector.candidate_prefixes(pipeline.targets()));
+  CHECK(candidates == detector.candidate_prefixes(pipeline.targets()));
+  CHECK_EQ(cursors.size(), candidates.size());
+  CHECK_EQ(outcomes.size(), candidates.size());
+  const std::size_t batch =
+      std::min({candidates.size(), cursors.size(), outcomes.size()});
+  std::size_t cursor_mismatches = 0;
+  for (std::size_t i = 0; i < batch; ++i) {
+    const auto fresh = reference.universe().zone_cursor(candidates[i]);
+    cursor_mismatches += cursors[i].node != fresh.node ||
+                         cursors[i].best != fresh.best ||
+                         cursors[i].depth != fresh.depth;
+  }
+  CHECK_EQ(cursor_mismatches, 0u);
   // Each raw verdict against its 16 addresses probed one by one, at
   // seq = nybble. These reference probes stay outside the counter
   // window the probe-count check below reads.
   const net::Protocol apd_protocol = pipeline.options().apd.protocol;
   std::size_t fanout_mismatches = 0;
-  for (const auto& outcome : outcomes) {
+  for (std::size_t i = 0; i < batch; ++i) {
     unsigned answered = 0;
     for (unsigned nybble = 0; nybble < 16; ++nybble) {
-      const ipv6::Address target = outcome.prefix.fanout_address(
+      const ipv6::Address target = candidates[i].fanout_address(
           nybble, util::hash64(day, nybble, 0xA9D));
       answered += reference.probe(target, apd_protocol, day, nybble).responded;
     }
-    fanout_mismatches += outcome.aliased != (answered == 16);
+    fanout_mismatches += (outcomes[i] != 0) != (answered == 16);
   }
   CHECK_EQ(fanout_mismatches, 0u);
   const std::vector<ipv6::Prefix> aliased = detector.current_aliased();

@@ -14,9 +14,11 @@
 // address classes, /32 announcements with zones below them, and alias
 // carve-outs with their aliased parents, it must be true exactly when
 // all 16 probe().responded are, and it must count exactly 16 probes
-// even when it stops at the first silent address. The partial batches
-// must put that first silent address at every position 0..15, so the
-// sweep makes the decision stop at each of them.
+// even when it stops at the first silent address. Each prefix descends
+// the zone trie once per day, and all five protocols' decisions reuse
+// that cursor, as the detector reuses a candidate's. The partial
+// batches must put that first silent address at every position 0..15,
+// so the sweep makes the decision stop at each of them.
 
 #include <algorithm>
 #include <array>
@@ -107,9 +109,11 @@ struct FanoutTally {
   std::array<std::size_t, 16> first_silent{};
 };
 
-// One fan-out decision under `prefix` against 16 probe() calls on the
-// same addresses at seq = nybble.
+// One fan-out decision under `prefix`, resumed at its zone-trie
+// `cursor`, against 16 probe() calls on the same addresses at
+// seq = nybble.
 void check_fanout(netsim::NetworkSim& sim, const ipv6::Prefix& prefix,
+                  const netsim::Universe::ZoneCursor& cursor,
                   net::Protocol protocol, int day, FanoutTally& tally) {
   std::uint64_t seeds[16];
   unsigned answered = 0;
@@ -124,7 +128,8 @@ void check_fanout(netsim::NetworkSim& sim, const ipv6::Prefix& prefix,
     if (!responded && first_silent == 16) first_silent = nybble;
   }
   const std::uint64_t before = sim.probes_sent();
-  const bool decided = sim.all_respond(prefix, seeds, 16, protocol, day);
+  const bool decided =
+      sim.all_respond(prefix, cursor, seeds, 16, protocol, day);
   tally.probe_miscounts += sim.probes_sent() - before != 16;
   tally.decision_mismatches += decided != (answered == 16);
   ++tally.calls;
@@ -154,9 +159,10 @@ void run_tests() {
     const auto targets = probe_targets(universe, day);
     const auto prefixes = fanout_prefixes(universe, targets);
     fanout_prefix_count += prefixes.size();
-    for (const auto protocol : net::kAllProtocols) {
-      for (const auto& prefix : prefixes) {
-        check_fanout(sim, prefix, protocol, day, fanout);
+    for (const auto& prefix : prefixes) {
+      const auto cursor = universe.zone_cursor(prefix);
+      for (const auto protocol : net::kAllProtocols) {
+        check_fanout(sim, prefix, cursor, protocol, day, fanout);
       }
     }
     // Several tiles plus a ragged tail, or the batch shapes below
