@@ -165,6 +165,27 @@ void BM_SimulatedProbeResolved(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatedProbeResolved);
 
+// How many of `prefix`'s 16 day-0 fan-out addresses answer probe().
+unsigned answered_fanout(v6h::netsim::NetworkSim& sim, const Prefix& prefix,
+                         const v6h::apd::AliasDetector::FanoutSeeds& seeds) {
+  unsigned answered = 0;
+  for (unsigned n = 0; n < 16; ++n) {
+    answered += sim.probe(prefix.seeded_fanout_address(n, seeds[n]),
+                          v6h::net::Protocol::kIcmp, 0, n)
+                    .responded;
+  }
+  return answered;
+}
+
+// The first truly aliased prefix; in this universe its cursor settles
+// and its zone has no loss, so the decision is read from the zone
+// without building an address.
+const Prefix* aliased_prefix(v6h::netsim::NetworkSim&,
+                             const v6h::netsim::Universe& universe,
+                             const v6h::apd::AliasDetector::FanoutSeeds&) {
+  return &universe.true_aliased_prefixes().front();
+}
+
 // The first honest zone prefix none of whose 16 day-0 fan-out
 // addresses answer: the common case, where the decision stops at the
 // first address. Found with probe(), outside the timed loop.
@@ -174,13 +195,22 @@ const Prefix* silent_prefix(v6h::netsim::NetworkSim& sim,
   for (const auto& zone : universe.zones()) {
     if (zone.config().aliased) continue;
     const Prefix& prefix = zone.config().prefix;
-    unsigned answered = 0;
-    for (unsigned n = 0; n < 16; ++n) {
-      answered += sim.probe(prefix.seeded_fanout_address(n, seeds[n]),
-                            v6h::net::Protocol::kIcmp, 0, n)
-                      .responded;
-    }
-    if (answered == 0) return &prefix;
+    if (answered_fanout(sim, prefix, seeds) == 0) return &prefix;
+  }
+  return nullptr;
+}
+
+// The first aliased zone prefix with loss all of whose 16 day-0
+// fan-out addresses answer: each address is built and rolls its loss,
+// the per-address cost a settled loss-free prefix no longer pays.
+// Found with probe(), outside the timed loop.
+const Prefix* lossy_prefix(v6h::netsim::NetworkSim& sim,
+                           const v6h::netsim::Universe& universe,
+                           const v6h::apd::AliasDetector::FanoutSeeds& seeds) {
+  for (const auto& zone : universe.zones()) {
+    if (!zone.config().aliased || zone.config().loss <= 0.0) continue;
+    const Prefix& prefix = zone.config().prefix;
+    if (answered_fanout(sim, prefix, seeds) == 16) return &prefix;
   }
   return nullptr;
 }
@@ -196,19 +226,24 @@ const v6h::netsim::Universe& apd_universe() {
   return universe;
 }
 
-// One candidate's fan-out decision at both ends: a truly aliased
-// prefix, where all 16 addresses are evaluated, and a silent one. The
-// detector keeps each candidate's zone-trie cursor, so the cursor is
-// descended outside the timed loop, as it is outside the day loop.
-void BM_ApdPrefixTest(benchmark::State& state, bool aliased) {
+using PickPrefix = const Prefix* (*)(v6h::netsim::NetworkSim&,
+                                     const v6h::netsim::Universe&,
+                                     const v6h::apd::AliasDetector::FanoutSeeds&);
+
+// One candidate's fan-out decision on each path: a truly aliased
+// prefix, decided from its zone; a silent one, which stops at the
+// first address; and a lossy one that answers in full, which builds
+// all 16. The detector keeps each candidate's zone-trie cursor, so
+// the cursor is descended outside the timed loop, as it is outside
+// the day loop.
+void BM_ApdPrefixTest(benchmark::State& state, PickPrefix pick) {
   const v6h::netsim::Universe& universe = apd_universe();
   v6h::netsim::NetworkSim sim(universe);
   v6h::apd::AliasDetector detector(sim);
   const auto seeds = v6h::apd::AliasDetector::fanout_seeds(0);
-  const Prefix* prefix = aliased ? &universe.true_aliased_prefixes().front()
-                                 : silent_prefix(sim, universe, seeds);
+  const Prefix* prefix = pick(sim, universe, seeds);
   if (prefix == nullptr) {
-    state.SkipWithError("no silent zone prefix");
+    state.SkipWithError("no zone prefix of this kind");
     return;
   }
   const auto cursor = universe.zone_cursor(*prefix);
@@ -217,8 +252,9 @@ void BM_ApdPrefixTest(benchmark::State& state, bool aliased) {
     benchmark::DoNotOptimize(aliased_today);
   }
 }
-BENCHMARK_CAPTURE(BM_ApdPrefixTest, aliased, true);
-BENCHMARK_CAPTURE(BM_ApdPrefixTest, silent, false);
+BENCHMARK_CAPTURE(BM_ApdPrefixTest, aliased, aliased_prefix);
+BENCHMARK_CAPTURE(BM_ApdPrefixTest, silent, silent_prefix);
+BENCHMARK_CAPTURE(BM_ApdPrefixTest, lossy, lossy_prefix);
 
 // The zone-trie descent alone: what each candidate-day saves now that
 // a candidate descends once, when it crosses min_targets, instead of

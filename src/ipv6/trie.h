@@ -70,8 +70,8 @@ class PrefixTrie {
   }
 
   /// Where a walk stands after reading a prefix's bits: the node at
-  /// `depth` (-1 when the path leaves the trie above the prefix
-  /// length) and the value of the longest match above it.
+  /// `depth` (-1 when nothing below it can change the match) and the
+  /// value of the longest match above it.
   struct Cursor {
     std::int32_t node = 0;
     std::int32_t best = -1;
@@ -81,7 +81,9 @@ class PrefixTrie {
   /// Walk `prefix`'s bits once. longest_match_from(descend(p), a)
   /// equals longest_match(a) for every `a` inside p: both walks read
   /// the same bits above p.length(), so a batch of addresses sharing
-  /// a prefix pays for that part of the path once.
+  /// a prefix pays for that part of the path once. The node is -1
+  /// only when the path leaves the trie above p.length(); erase and
+  /// exact_match need the node at p.
   Cursor descend(const Prefix& prefix) const {
     Cursor at;
     for (; at.depth < prefix.length(); ++at.depth) {
@@ -89,6 +91,25 @@ class PrefixTrie {
       if (node.value >= 0) at.best = node.value;
       at.node = node.child[prefix.address().bit(at.depth) ? 1 : 0];
       if (at.node < 0) break;
+    }
+    return at;
+  }
+
+  /// descend(p) with a childless end node folded into `best`, so the
+  /// node is -1 whenever no inserted prefix lies strictly inside p:
+  /// every address inside p then has the same longest match, `best`.
+  /// longest_match_from answers alike for either form. Until erase
+  /// runs the converse holds too, since every node with children has
+  /// a value below it; an erased value leaves its interior nodes in
+  /// place, so a prefix above them stays unsettled.
+  Cursor descend_settled(const Prefix& prefix) const {
+    Cursor at = descend(prefix);
+    if (at.node >= 0) {
+      const Node& node = nodes_[static_cast<std::size_t>(at.node)];
+      if (node.child[0] < 0 && node.child[1] < 0) {
+        if (node.value >= 0) at.best = node.value;
+        at.node = -1;
+      }
     }
     return at;
   }

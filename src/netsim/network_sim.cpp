@@ -71,6 +71,15 @@ net::ProtocolMask host_service_mask(const Zone& zone, std::uint32_t slot) {
   return mask;
 }
 
+// Does an answer from aliased space need a roll per address: the
+// loss roll, or the flaky-QUIC roll on UDP/443? Without one, every
+// aliased address offering `protocol` answers at every (day, seq):
+// resolved_responds returns true untouched, and all_respond decides a
+// settled aliased prefix from its zone alone.
+bool aliased_rolls(const ZoneProbeParams& zp, net::Protocol protocol) {
+  return zp.loss > 0.0 || (zp.quic_flaky && protocol == net::Protocol::kUdp443);
+}
+
 // The day/seq-dependent half of probe(): does the target answer this
 // particular probe? The caller has already checked the service mask,
 // so `zp` is valid and the target is aliased or a live slot. The scan
@@ -80,6 +89,7 @@ bool resolved_responds(const ZoneProbeParams& zp, std::uint8_t flags,
                        std::uint32_t slot, std::uint64_t addr_hash,
                        net::Protocol protocol, int day, unsigned seq) {
   if (flags & ResolvedTarget::kAliased) {
+    if (!aliased_rolls(zp, protocol)) return true;
     if (zp.loss > 0.0 &&
         hash_unit(zp.key, addr_hash,
                   hash64(day, seq, net::index_of(protocol))) < zp.loss) {
@@ -248,6 +258,22 @@ bool NetworkSim::all_respond(const ipv6::Prefix& prefix,
                              const std::uint64_t* seeds, unsigned count,
                              net::Protocol protocol, int day) {
   probes_sent_.fetch_add(count, std::memory_order_relaxed);
+  if (cursor.node < 0 && count != 0) {
+    // Settled walk: every address inside the prefix lies in one zone,
+    // or in none. Aliased space no carve-out reaches, answering without
+    // a roll per address, answers alike at every address.
+    const Zone* zone = universe_->zone_at(cursor, prefix.address());
+    if (zone == nullptr) return false;
+    const ZoneConfig& config = zone->config();
+    const ZoneProbeParams& zp =
+        zone_params_[static_cast<std::size_t>(zone - universe_->zones().data())];
+    if (config.aliased &&
+        !(config.carveout && (config.carveout->contains(prefix) ||
+                              prefix.contains(*config.carveout))) &&
+        !aliased_rolls(zp, protocol)) {
+      return net::responds_to(config.machine_service, protocol);
+    }
+  }
   for (unsigned n = 0; n < count; ++n) {
     const Address a = prefix.seeded_fanout_address(n, seeds[n]);
     const Zone* zone = universe_->zone_at(cursor, a);

@@ -13,13 +13,17 @@
 //    fan-out addresses answer, address n at seq n? The caller hands
 //    in the prefix's zone-trie cursor (Universe::zone_cursor), which
 //    depends on nothing but the prefix, so a candidate descends once
-//    in its life, not once a day; each address then walks only the
-//    bits below the prefix and evaluates the responded predicate only
-//    (no machine image). Address n is built only once addresses
-//    0..n-1 answered, so the first silent one settles it. One counter
-//    add covers every probe the measurement sends. The decision
-//    equals "every probe().responded" (tests/test_probe_kernel.cpp,
-//    and every day of tests/day_oracle.h).
+//    in its life, not once a day. A settled cursor (the whole prefix
+//    in one zone or in none) whose zone is unrouted space, or aliased
+//    space that no carve-out reaches and that rolls nothing per
+//    address, decides from the zone without building an address.
+//    Otherwise each address walks only the bits below the prefix and
+//    evaluates the responded predicate only (no machine image).
+//    Address n is built only once addresses 0..n-1 answered, so the
+//    first silent one settles it. One counter add covers every probe
+//    the measurement sends. The decision equals "every
+//    probe().responded" (tests/test_probe_kernel.cpp, and every day
+//    of tests/day_oracle.h).
 //  - resolve() + probe_resolved_mask(): hoist what is immutable per
 //    address (per rotation epoch) into a ResolvedTarget record once,
 //    then answer each scan probe's responded bit from the cached
@@ -125,10 +129,13 @@ class NetworkSim {
   /// walk there, so the caller decides how often to descend. Equals
   /// "all of probe(address n, protocol, day, n).responded", but
   /// derives no machine image and stops at the first silent or
-  /// unrouted address. Counts all `count` probes: the measurement
-  /// sends them, only the simulation stops evaluating. Pure apart
-  /// from that one counter add, so engine workers may call it
-  /// concurrently.
+  /// unrouted address. A settled cursor decides from the zone alone,
+  /// building no address, when the prefix is unrouted (false), or
+  /// aliased with no carve-out intersecting it in a zone with no loss
+  /// and no flaky QUIC on a UDP/443 probe (whether the zone serves
+  /// `protocol`). Counts all `count` probes: the measurement sends
+  /// them, only the simulation stops evaluating. Pure apart from that
+  /// one counter add, so engine workers may call it concurrently.
   bool all_respond(const ipv6::Prefix& prefix,
                    const Universe::ZoneCursor& cursor,
                    const std::uint64_t* seeds, unsigned count,

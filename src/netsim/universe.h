@@ -151,10 +151,13 @@ class Universe {
   /// The zone-trie walk stopped at a prefix: zone_at(zone_cursor(p), a)
   /// equals zone_at(a) for every `a` inside p and walks only the bits
   /// below p, so the APD fan-out's 16 addresses under one prefix share
-  /// one descent.
+  /// one descent. The walk is settled (node < 0) exactly when no zone
+  /// prefix lies strictly inside p (the zone trie is insert-only):
+  /// then every address inside p lies in the same zone, or in none,
+  /// and zone_at reads it without walking.
   using ZoneCursor = ipv6::PrefixTrie<std::uint32_t>::Cursor;
   ZoneCursor zone_cursor(const ipv6::Prefix& prefix) const {
-    return zone_trie_.descend(prefix);
+    return zone_trie_.descend_settled(prefix);
   }
   const Zone* zone_at(const ZoneCursor& cursor, const ipv6::Address& a) const;
   const Zone* zone_at(const ipv6::Address& a) const {

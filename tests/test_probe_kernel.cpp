@@ -18,7 +18,14 @@
 // the zone trie once per day, and all five protocols' decisions reuse
 // that cursor, as the detector reuses a candidate's. The partial
 // batches must put that first silent address at every position 0..15,
-// so the sweep makes the decision stop at each of them.
+// so the sweep makes the decision stop at each of them. Every swept
+// cursor must be settled exactly when no zone prefix lies strictly
+// inside its prefix, and the sweep must reach both the decisions a
+// settled cursor takes from its zone alone and every kind that falls
+// through to the per-address loop. Each alias carve-out is then hit
+// on purpose: a fan-out address of its aliased parent, with its seed
+// searched until it lands inside the carve-out, must turn that
+// parent's decision silent.
 
 #include <algorithm>
 #include <array>
@@ -98,6 +105,39 @@ std::vector<ipv6::Prefix> fanout_prefixes(
   return out;
 }
 
+// How all_respond should reach a decision: from a settled cursor's
+// zone alone, or through the per-address loop, and why.
+enum FanoutPath : unsigned {
+  kSettledAliased,   // loss-free aliased space no carve-out reaches
+  kSettledUnrouted,  // the whole prefix outside every zone
+  kLossy,            // aliased, rolls loss per address
+  kFlakyQuic,        // aliased, flaky QUIC probed on UDP/443
+  kCarveout,         // aliased, a carve-out intersects the prefix
+  kHonest,           // settled inside an honest zone
+  kUnsettled,        // a zone prefix lies strictly inside the prefix
+  kFanoutPaths,
+};
+
+FanoutPath fanout_path(const netsim::Universe& universe,
+                       const ipv6::Prefix& prefix,
+                       const netsim::Universe::ZoneCursor& cursor,
+                       net::Protocol protocol) {
+  if (cursor.node >= 0) return kUnsettled;
+  const netsim::Zone* zone = universe.zone_at(cursor, prefix.address());
+  if (zone == nullptr) return kSettledUnrouted;
+  const auto& config = zone->config();
+  if (!config.aliased) return kHonest;
+  if (config.carveout && (config.carveout->contains(prefix) ||
+                          prefix.contains(*config.carveout))) {
+    return kCarveout;
+  }
+  if (config.loss > 0.0) return kLossy;
+  if (config.quic_flaky && protocol == net::Protocol::kUdp443) {
+    return kFlakyQuic;
+  }
+  return kSettledAliased;
+}
+
 struct FanoutTally {
   std::size_t calls = 0;
   std::size_t decision_mismatches = 0;  // all_respond != all 16 probe()
@@ -107,29 +147,43 @@ struct FanoutTally {
   std::size_t all = 0;                  // 16 of 16
   // Partial batches by the nybble of their first silent address.
   std::array<std::size_t, 16> first_silent{};
+  // Calls by the path all_respond should decide them on.
+  std::array<std::size_t, kFanoutPaths> paths{};
 };
+
+using FanoutSeeds = std::array<std::uint64_t, 16>;
+
+// The sweep's 16 fan-out seeds of `day`.
+FanoutSeeds day_seeds(int day) {
+  FanoutSeeds seeds;
+  for (unsigned nybble = 0; nybble < 16; ++nybble) {
+    seeds[nybble] =
+        ipv6::Prefix::fanout_seed(nybble, util::hash64(day, nybble, 0xfa17));
+  }
+  return seeds;
+}
 
 // One fan-out decision under `prefix`, resumed at its zone-trie
 // `cursor`, against 16 probe() calls on the same addresses at
 // seq = nybble.
 void check_fanout(netsim::NetworkSim& sim, const ipv6::Prefix& prefix,
                   const netsim::Universe::ZoneCursor& cursor,
-                  net::Protocol protocol, int day, FanoutTally& tally) {
-  std::uint64_t seeds[16];
+                  const FanoutSeeds& seeds, net::Protocol protocol, int day,
+                  FanoutTally& tally) {
   unsigned answered = 0;
   unsigned first_silent = 16;
   for (unsigned nybble = 0; nybble < 16; ++nybble) {
-    const std::uint64_t salt = util::hash64(day, nybble, 0xfa17);
-    seeds[nybble] = ipv6::Prefix::fanout_seed(nybble, salt);
     const bool responded =
-        sim.probe(prefix.fanout_address(nybble, salt), protocol, day, nybble)
+        sim.probe(prefix.seeded_fanout_address(nybble, seeds[nybble]),
+                  protocol, day, nybble)
             .responded;
     answered += responded;
     if (!responded && first_silent == 16) first_silent = nybble;
   }
+  ++tally.paths[fanout_path(sim.universe(), prefix, cursor, protocol)];
   const std::uint64_t before = sim.probes_sent();
   const bool decided =
-      sim.all_respond(prefix, cursor, seeds, 16, protocol, day);
+      sim.all_respond(prefix, cursor, seeds.data(), 16, protocol, day);
   tally.probe_miscounts += sim.probes_sent() - before != 16;
   tally.decision_mismatches += decided != (answered == 16);
   ++tally.calls;
@@ -141,6 +195,64 @@ void check_fanout(netsim::NetworkSim& sim, const ipv6::Prefix& prefix,
     ++tally.some;
     ++tally.first_silent[first_silent];
   }
+}
+
+// Does any zone prefix lie strictly inside `prefix`? Brute force over
+// every zone, against which a settled cursor is checked.
+bool zone_inside(const netsim::Universe& universe, const ipv6::Prefix& prefix) {
+  for (const auto& zone : universe.zones()) {
+    if (zone.prefix().length() > prefix.length() &&
+        prefix.contains(zone.prefix())) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// The nybble a fan-out address under `prefix` pins (the first one
+// below the prefix; see Prefix::seeded_fanout_address).
+unsigned fanout_nybble_index(const ipv6::Prefix& prefix) {
+  return (prefix.length() + 3) / 4;
+}
+
+// Each aliased zone with a carve-out, probed with one fan-out address
+// inside that carve-out: the carve-out's own nybble, with its seed
+// searched until the address lands inside. The carve-out address can
+// never answer (aliased zones never invert a slot), so the 16
+// reference probes are never all answered, and all_respond must agree
+// on each of `days` and every protocol. Returns the zones hit.
+std::size_t check_carveout_hits(netsim::NetworkSim& sim,
+                                const std::vector<int>& days,
+                                FanoutTally& tally) {
+  const netsim::Universe& universe = sim.universe();
+  std::size_t zones_hit = 0;
+  for (const auto& zone : universe.zones()) {
+    const auto& config = zone.config();
+    if (!config.aliased || !config.carveout) continue;
+    const ipv6::Prefix& prefix = config.prefix;
+    const ipv6::Prefix& carveout = *config.carveout;
+    const unsigned nybble =
+        carveout.address().nybble(fanout_nybble_index(prefix));
+    // A /64 carve-out under a /48 zone leaves 12 bits to match, so the
+    // bound (2^20 tries) is never the limit in practice.
+    std::uint64_t seed = 0;
+    bool inside = false;
+    for (std::uint64_t tries = 0; !inside && tries < (1u << 20); ++tries) {
+      seed = util::hash64(zone.key(), tries, 0xca7e);
+      inside = carveout.contains(prefix.seeded_fanout_address(nybble, seed));
+    }
+    if (!inside) continue;
+    ++zones_hit;
+    const auto cursor = universe.zone_cursor(prefix);
+    for (const int day : days) {
+      FanoutSeeds seeds = day_seeds(day);
+      seeds[nybble] = seed;
+      for (const auto protocol : net::kAllProtocols) {
+        check_fanout(sim, prefix, cursor, seeds, protocol, day, tally);
+      }
+    }
+  }
+  return zones_hit;
 }
 
 void run_tests() {
@@ -155,14 +267,17 @@ void run_tests() {
   std::size_t disagreements = 0;
   FanoutTally fanout;
   std::size_t fanout_prefix_count = 0;
+  std::size_t settle_mismatches = 0;  // node < 0 != nothing inside
   for (const int day : {0, 13, 61, 200}) {
     const auto targets = probe_targets(universe, day);
     const auto prefixes = fanout_prefixes(universe, targets);
+    const FanoutSeeds seeds = day_seeds(day);
     fanout_prefix_count += prefixes.size();
     for (const auto& prefix : prefixes) {
       const auto cursor = universe.zone_cursor(prefix);
+      settle_mismatches += (cursor.node < 0) == zone_inside(universe, prefix);
       for (const auto protocol : net::kAllProtocols) {
-        check_fanout(sim, prefix, cursor, protocol, day, fanout);
+        check_fanout(sim, prefix, cursor, seeds, protocol, day, fanout);
       }
     }
     // Several tiles plus a ragged tail, or the batch shapes below
@@ -211,6 +326,40 @@ void run_tests() {
                    std::size_t{0}) == 0);
   std::printf("fan-out: %zu batches, %zu silent, %zu partial, %zu full\n",
               fanout.calls, fanout.none, fanout.some, fanout.all);
+
+  // A settled cursor is one with no zone strictly inside its prefix:
+  // the fold must not settle a node with children, and must not stop
+  // settling childless ones. And the sweep reaches every path.
+  CHECK_EQ(settle_mismatches, 0u);
+  const auto& paths = fanout.paths;
+  CHECK(std::count(paths.begin(), paths.end(), std::size_t{0}) == 0);
+  const std::size_t settled = paths[kSettledAliased] + paths[kSettledUnrouted];
+  std::printf(
+      "fan-out paths: %zu settled (%zu aliased, %zu unrouted), %zu per "
+      "address (%zu lossy, %zu flaky QUIC, %zu carve-out, %zu honest, %zu "
+      "unsettled)\n",
+      settled, paths[kSettledAliased], paths[kSettledUnrouted],
+      fanout.calls - settled, paths[kLossy], paths[kFlakyQuic],
+      paths[kCarveout], paths[kHonest], paths[kUnsettled]);
+
+  // Carve-outs hit on purpose: every such zone is found, and its
+  // carve-out address makes each decision silent.
+  FanoutTally carveout;
+  const std::size_t carveout_zones =
+      check_carveout_hits(sim, {0, 61}, carveout);
+  std::size_t carveout_zone_count = 0;
+  for (const auto& zone : universe.zones()) {
+    carveout_zone_count += zone.config().aliased && zone.config().carveout;
+  }
+  CHECK(carveout_zones > 0);
+  CHECK_EQ(carveout_zones, carveout_zone_count);
+  CHECK_EQ(carveout.calls, carveout_zones * 2 * net::kAllProtocols.size());
+  CHECK_EQ(carveout.decision_mismatches, 0u);
+  CHECK_EQ(carveout.probe_miscounts, 0u);
+  CHECK_EQ(carveout.all, 0u);
+  CHECK_EQ(carveout.paths[kCarveout], carveout.calls);
+  std::printf("carve-out hits: %zu zones, %zu batches\n", carveout_zones,
+              carveout.calls);
 }
 
 }  // namespace

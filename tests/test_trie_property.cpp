@@ -1,11 +1,16 @@
 // Randomized property test for ipv6::PrefixTrie: insert 10k random
 // prefixes with a fixed-seed LCG and check longest_match, and the
-// resumed walk longest_match_from(descend(p), a) for addresses inside
-// p, against a brute-force linear scan; then erase half the prefixes
-// and re-insert some (the alias filter's daily churn) and check
-// longest_match, the resumed walk and exact_match again. Plus the /0,
-// /128, and duplicate-insert edge cases and the size()/empty()
-// regression for the AliasFilter hoist.
+// resumed walks longest_match_from(descend(p), a) and
+// longest_match_from(descend_settled(p), a) for addresses inside p,
+// against a brute-force linear scan; the settled walk must settle
+// (node < 0) exactly when no inserted prefix lies strictly inside p.
+// Then erase half the prefixes and re-insert some (the alias filter's
+// daily churn) and check longest_match, both resumed walks and
+// exact_match again; erased values leave interior nodes behind, so
+// after churn a settled cursor must still have nothing inside it,
+// but an unsettled one may. Plus the /0, /128, and duplicate-insert
+// edge cases and the size()/empty() regression for the AliasFilter
+// hoist.
 
 #include <map>
 #include <vector>
@@ -64,16 +69,34 @@ void check_against_model(const PrefixTrie<int>& trie,
   check_match(trie.longest_match(a), model, a);
 }
 
-// One descent to `p`, then the resumed walk for addresses inside p.
-// Returns whether the path left the trie above p's length.
+// Does the model hold a prefix strictly inside `p`?
+bool holds_inside(const std::map<Prefix, int>& model, const Prefix& p) {
+  for (const auto& entry : model) {
+    if (entry.first.length() > p.length() && p.contains(entry.first)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// One descent to `p` by each walk, then the resumed walk for addresses
+// inside p. A settled cursor must have nothing inside p, and while the
+// trie has only seen inserts (`insert_only`), every cursor with
+// nothing inside p must be settled. Returns whether the unfolded path
+// left the trie above p's length.
 bool check_cursor(const PrefixTrie<int>& trie,
                   const std::map<Prefix, int>& model, const Prefix& p,
-                  Lcg& lcg) {
+                  bool insert_only, Lcg& lcg) {
   const auto cursor = trie.descend(p);
+  const auto settled = trie.descend_settled(p);
   for (int k = 0; k < 2; ++k) {
     const Address a = p.random_address(lcg.next());
     check_match(trie.longest_match_from(cursor, a), model, a);
+    check_match(trie.longest_match_from(settled, a), model, a);
   }
+  const bool inside = holds_inside(model, p);
+  if (settled.node < 0) CHECK(!inside);
+  if (insert_only) CHECK_EQ(settled.node < 0, !inside);
   return cursor.node < 0;
 }
 
@@ -190,18 +213,19 @@ void run_tests() {
         Address::from_u64(lcg.next(), lcg.next()),
         static_cast<std::uint8_t>(96 + lcg.next() % 33));
   }
-  auto check_cursors = [&] {
+  auto check_cursors = [&](bool insert_only) {
     std::size_t left_trie = 0;
     std::size_t inserted_left_trie = 0;
     for (std::size_t i = 0; i < cursor_prefixes.size(); ++i) {
-      const bool left = check_cursor(trie, model, cursor_prefixes[i], lcg);
+      const bool left =
+          check_cursor(trie, model, cursor_prefixes[i], insert_only, lcg);
       left_trie += left;
       inserted_left_trie += left && i % 3 == 0;
     }
     CHECK(left_trie > 0);
     CHECK_EQ(inserted_left_trie, 0u);
   };
-  check_cursors();
+  check_cursors(/*insert_only=*/true);
 
   // Erase churn, as the alias filter drops prefixes that turn clean:
   // erase every other inserted prefix, then re-insert half of those
@@ -211,7 +235,7 @@ void run_tests() {
     CHECK_EQ(trie.size(), model.size());
     CHECK_EQ(trie.empty(), model.empty());
     for (const auto& a : probes) check_against_model(trie, model, a);
-    check_cursors();
+    check_cursors(/*insert_only=*/false);
     for (const auto& p : inserted) check_exact(trie, model, p);
   };
   std::size_t erased = 0;
