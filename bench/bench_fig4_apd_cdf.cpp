@@ -18,10 +18,10 @@ int main(int argc, char** argv) {
   hitlist::Pipeline pipeline(universe, sim, args.pipeline_options(), &eng);
   bench::run_pipeline_days(pipeline, args);
 
-  const auto& filter = pipeline.filter();
+  const auto& store = pipeline.store();
   std::vector<ipv6::Address> aliased, kept;
-  for (const auto& a : pipeline.targets()) {
-    (filter.is_aliased(a) ? aliased : kept).push_back(a);
+  for (std::size_t row = 0; row < store.size(); ++row) {
+    (store.aliased(row) ? aliased : kept).push_back(store.address(row));
   }
   const auto all = hitlist::summarize_distribution(pipeline.targets(), universe.bgp());
   const auto removed = hitlist::summarize_distribution(aliased, universe.bgp());

@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   };
 
   std::vector<Row> rows;
-  const auto& filter = pipeline.filter();
+  const auto& detector = pipeline.detector();
   auto selected = [&](net::Protocol p) {
     return std::find(args.protocols.begin(), args.protocols.end(), p) !=
            args.protocols.end();
@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
   for (const auto source : netsim::kAllSources) {
     std::vector<ipv6::Address> members;
     for (const auto& a : sources.cumulative(source)) {
-      if (!filter.is_aliased(a)) members.push_back(a);
+      if (detector.aliased_cover(a) == 0) members.push_back(a);
     }
     const char* paper = "";
     switch (source) {

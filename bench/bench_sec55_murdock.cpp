@@ -18,15 +18,16 @@ int main(int argc, char** argv) {
   hitlist::Pipeline pipeline(universe, sim, args.pipeline_options(), &eng);
   bench::run_pipeline_days(pipeline, args);
   const auto& targets = pipeline.targets();
-  const auto& ours = pipeline.filter();
+  const auto& store = pipeline.store();
 
   netsim::NetworkSim murdock_sim(universe);
   const auto murdock = apd::murdock_detect(murdock_sim, targets, args.horizon);
 
   std::size_t ours_only = 0, murdock_only = 0, both = 0, neither = 0;
   std::size_t ours_correct = 0, murdock_correct = 0;
-  for (const auto& a : targets) {
-    const bool mine = ours.is_aliased(a);
+  for (std::size_t row = 0; row < targets.size(); ++row) {
+    const auto& a = targets[row];
+    const bool mine = store.aliased(row);
     const bool theirs = murdock.is_aliased(a);
     const bool truth = universe.truly_aliased_at(a);
     ours_only += mine && !theirs;

@@ -25,10 +25,11 @@ int main(int argc, char** argv) {
 
   // Seeds: non-aliased hitlist addresses, grouped by AS, >= the scaled
   // equivalent of the paper's 100-address AS gate, capped samples.
-  const auto& filter = pipeline.filter();
+  const auto& store = pipeline.store();
   std::map<std::uint32_t, std::vector<ipv6::Address>> by_as;
-  for (const auto& a : pipeline.targets()) {
-    if (filter.is_aliased(a)) continue;
+  for (std::size_t row = 0; row < store.size(); ++row) {
+    if (store.aliased(row)) continue;
+    const auto& a = store.address(row);
     const auto asn = universe.bgp().origin_as(a);
     if (asn != 0) by_as[asn].push_back(a);
   }

@@ -59,12 +59,12 @@ int main(int argc, char** argv) {
                      " in top-10 ASes");
 
   // Responsiveness: filter unrouted/aliased, then probe.
-  const auto& filter = pipeline.filter();
+  const auto& detector = pipeline.detector();
   std::vector<ipv6::Address> probe_list;
   std::size_t filtered_aliased = 0;
   for (const auto& a : walk.addresses) {
     if (!universe.bgp().is_routed(a)) continue;
-    if (filter.is_aliased(a)) {
+    if (detector.aliased_cover(a) != 0) {
       ++filtered_aliased;
       continue;
     }

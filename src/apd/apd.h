@@ -158,8 +158,8 @@ class AliasDetector {
   /// `became_aliased` and `became_clean` are cleared and refilled, in
   /// batch order, with the verdict transitions relative to the
   /// effective previous verdict (a never-probed prefix counts as
-  /// clean): exactly the delta a persistent AliasFilter applies in
-  /// place. Both lists are caller-owned and keep their capacity, so a
+  /// clean): the +1 and -1 steps of the pipeline's per-row aliased
+  /// counts. Both lists are caller-owned and keep their capacity, so a
   /// warm APD day is allocation-free.
   void run_day(int day, std::vector<ipv6::Prefix>* became_aliased,
                std::vector<ipv6::Prefix>* became_clean);
@@ -190,6 +190,22 @@ class AliasDetector {
 
   /// All prefixes whose current windowed verdict is "aliased", sorted.
   std::vector<ipv6::Prefix> current_aliased() const;
+
+  /// current_aliased().size(), kept current by every batch.
+  std::size_t aliased_count() const { return aliased_count_; }
+
+  /// How many of `a`'s level prefixes (the ones add_addresses counts
+  /// it into: its /48../112 aggregates and its announcement) have an
+  /// aliased windowed verdict. Read-only, so engine workers call it
+  /// concurrently between batches.
+  ///
+  /// This is exactly the number of aliased prefixes containing `a`
+  /// when only candidates were probed (the pipeline's run_day) and no
+  /// announcement lies inside another. Then every aliased prefix is a
+  /// /48../112 aggregate or the announcement of some counted address;
+  /// an aggregate containing `a` is `a`'s own at that length, and an
+  /// announcement containing `a` is the one announcement covering `a`.
+  unsigned aliased_cover(const ipv6::Address& a) const;
 
   const ApdOptions& options() const { return options_; }
 
@@ -243,6 +259,7 @@ class AliasDetector {
   std::vector<ipv6::Prefix> crossed_;
   std::vector<netsim::Universe::ZoneCursor> descents_;
   std::vector<char> outcomes_;
+  std::size_t aliased_count_ = 0;  // prefixes whose verdict is aliased
 };
 
 }  // namespace v6h::apd

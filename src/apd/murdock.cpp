@@ -24,8 +24,8 @@ MurdockResult murdock_detect(netsim::NetworkSim& sim,
       responded += sim.probe(a, net::Protocol::kIcmp, day, i).responded;
     }
     if (responded == 16) {
+      result.trie.insert(p96, static_cast<std::uint32_t>(result.aliased.size()));
       result.aliased.push_back(p96);
-      result.trie.insert(p96, true);
     }
   }
   return result;

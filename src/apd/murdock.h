@@ -22,7 +22,7 @@ struct MurdockResult {
     return trie.longest_match(a) != nullptr;
   }
 
-  ipv6::PrefixTrie<bool> trie;
+  ipv6::PrefixTrie<std::uint32_t> trie;  // index into aliased
 };
 
 MurdockResult murdock_detect(netsim::NetworkSim& sim,

@@ -2,8 +2,8 @@
 
 // Parallel execution engine for the daily pipeline: a work-stealing
 // ThreadPool plus the deterministic parallel_for every pipeline stage
-// (source draws, APD fan-out, protocol scans, alias filtering,
-// universe construction) is routed through. parallel_for splits the
+// (source draws, APD fan-out, protocol scans, new rows' aliased
+// counts, universe construction) is routed through. parallel_for splits the
 // caller's index range into contiguous chunks, so a sorted input keeps
 // each chunk inside one region of the address space.
 //

@@ -6,33 +6,14 @@
 
 namespace v6h::hitlist {
 
-using ipv6::Address;
+namespace {
 
-void AliasFilter::is_aliased_many(const Address* in, std::size_t count,
-                                  std::vector<char>* aliased,
-                                  engine::Engine* engine) const {
-  aliased->assign(count, 0);
-  if (trie_.empty()) return;
-  // Worker discipline: the trie is read-only here (insert and erase
-  // are coordinator-only, between scan phases), and each worker
-  // writes only its own index range of `aliased`; the parallel_for
-  // return barrier publishes the column to the caller.
-  auto run = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      (*aliased)[i] = trie_.longest_match(in[i]) != nullptr;
-    }
-  };
-  if (engine != nullptr) {
-    engine->parallel_for(count, 512, run);
-  } else {
-    run(0, count);
-  }
-}
+// New rows' aliased counts per engine chunk. A warm day's few dozen
+// new rows stay inline (parallel_for runs a range up to one grain on
+// the caller); a first day's thousands spread over the workers.
+constexpr std::size_t kCoverGrain = 512;
 
-void AliasFilter::reserve(std::size_t max_prefixes,
-                          std::size_t max_trie_nodes) {
-  trie_.reserve(max_trie_nodes, max_prefixes);
-}
+}  // namespace
 
 Pipeline::Pipeline(const netsim::Universe& universe, netsim::NetworkSim& sim,
                    PipelineOptions options, engine::Engine* engine)
@@ -52,25 +33,18 @@ Pipeline::Pipeline(const netsim::Universe& universe, netsim::NetworkSim& sim,
   // source simulator can never emit more unique addresses than the
   // sum of its per-source final counts (growth fractions cap at 1),
   // so that sum bounds the store, the resolution cache, the frame's
-  // row space, and — at ~5 level prefixes per address — the APD
-  // table and candidate list. A day's verdict transitions hold at
-  // most one entry per candidate. The aliased set is far smaller
-  // (only genuinely aliased zones survive the 16/16 fan-out), so the
-  // filter gets a detection-sized budget with generous slack; the
-  // counting-allocator test (tests/test_day_alloc.cpp) fails loudly
-  // if a campaign ever outgrows any of these.
+  // row space, the member rows of a flipped prefix, and — at ~5
+  // level prefixes per address — the APD table and candidate list. A
+  // day's verdict transitions hold at most one entry per candidate.
+  // The counting-allocator test (tests/test_day_alloc.cpp) fails
+  // loudly if a campaign ever outgrows any of these.
   const std::size_t bound = sources_.max_unique_addresses();
   const std::size_t candidate_bound = detector_.candidate_bound(bound);
-  const std::size_t aliased_budget =
-      256 + universe.true_aliased_prefixes().size() * 64;
   store_.reserve(bound);
   detector_.reserve_for(bound);
   scan_engine_.reserve(bound);
   frame_.reserve(bound);
-  filter_.reserve(aliased_budget, 2048 + aliased_budget * 24);
-  new_row_aliased_.reserve(bound);
-  flipped_.reserve(candidate_bound);
-  affected_rows_.reserve(bound);
+  members_.reserve(bound);
   delta_.became_aliased.reserve(candidate_bound);
   delta_.became_clean.reserve(candidate_bound);
 }
@@ -103,7 +77,7 @@ Pipeline::DayReport Pipeline::run_day(int day) {
               ? sources_.collect(source, day, store_.addresses())
               : sources_.collect(source, day);
       for (const auto& a : result.new_addresses) {
-        if (store_.insert(a, day)) ++report.new_addresses;
+        if (store_.insert(a)) ++report.new_addresses;
       }
     }
   }
@@ -122,36 +96,43 @@ Pipeline::DayReport Pipeline::run_day(int day) {
   }
   detector_.run_day(day, &delta_.became_aliased, &delta_.became_clean);
 
-  // 3. Alias filter + per-row verdict flags. Apply the verdict
-  // transitions in place, then re-filter exactly the rows whose answer
-  // can have changed, each once: the day's new rows (all flags start
-  // clean) and the older members of flipped prefixes — a row outside
-  // every flipped prefix keeps yesterday's longest match. Removes run
-  // first so the tries' freed value slots feed the inserts (the sets
-  // are disjoint, so the order cannot change the filter).
+  // 3. Per-row aliased counts, each row counting the aliased prefixes
+  // that contain it. A new row (count 0) takes its count from the
+  // detector; then every flipped prefix moves each of its older member
+  // rows by one, +1 when it became aliased and -1 when it became clean,
+  // once per (prefix, member) pair, so a row inside two nested prefixes
+  // that flip the same way moves by 2. A row outside every flipped
+  // prefix keeps yesterday's count, and no row walks a trie.
   {
     obs::StageSpan span(obs_, obs::Stage::kRefilter);
-    for (const auto& prefix : delta_.became_clean) filter_.remove(prefix);
-    for (const auto& prefix : delta_.became_aliased) filter_.insert(prefix);
-    filter_.is_aliased_many(store_.addresses().data() + delta_.first_new_row,
-                            delta_.new_addresses(), &new_row_aliased_,
-                            engine_);
-    for (std::size_t i = 0; i < new_row_aliased_.size(); ++i) {
-      store_.set_aliased(delta_.first_new_row + i, new_row_aliased_[i] != 0);
+    const std::uint32_t first_new = delta_.first_new_row;
+    // Worker discipline: the detector is read-only here, and each chunk
+    // writes only its own new rows' bytes; the parallel_for return
+    // barrier publishes them.
+    auto cover = [&](std::size_t begin, std::size_t end) {
+      for (std::size_t row = first_new + begin; row < first_new + end; ++row) {
+        store_.add_cover(row, static_cast<int>(detector_.aliased_cover(
+                                  store_.address(row))));
+      }
+    };
+    if (engine_ != nullptr) {
+      engine_->parallel_for(delta_.new_addresses(), kCoverGrain, cover);
+    } else {
+      cover(0, delta_.new_addresses());
     }
-    // One lookup over both lists returns each member once, ascending,
-    // so the walk stops at the first new row (already set above).
-    flipped_.assign(delta_.became_aliased.begin(), delta_.became_aliased.end());
-    flipped_.insert(flipped_.end(), delta_.became_clean.begin(),
-                    delta_.became_clean.end());
-    affected_rows_.clear();
-    store_.rows_within_many(flipped_, &affected_rows_);
-    for (const auto row : affected_rows_) {
-      if (row >= delta_.first_new_row) break;
-      store_.set_aliased(row, filter_.is_aliased(store_.address(row)));
-    }
+    auto step = [&](const std::vector<ipv6::Prefix>& flipped, int delta) {
+      for (const auto& prefix : flipped) {
+        members_.clear();
+        store_.rows_within(prefix, &members_);
+        for (const auto row : members_) {
+          if (row < first_new) store_.add_cover(row, delta);
+        }
+      }
+    };
+    step(delta_.became_aliased, +1);
+    step(delta_.became_clean, -1);
   }
-  report.aliased_prefixes = filter_.size();
+  report.aliased_prefixes = detector_.aliased_count();
 
   // 4. Scan everything not inside detected aliased space into the
   // reusable frame. The resolved engine extends its per-row cache by

@@ -1,6 +1,7 @@
 #include "hitlist/target_store.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <iterator>
 
 namespace v6h::hitlist {
@@ -32,7 +33,6 @@ Address last_address(const Prefix& prefix) {
 
 void TargetStore::reserve(std::size_t max_rows) {
   addresses_.reserve(max_rows);
-  first_seen_.reserve(max_rows);
   aliased_.reserve(max_rows);
   index_.reserve(max_rows);
   // Every row lives in exactly one run or the tail, so the arena and
@@ -42,15 +42,12 @@ void TargetStore::reserve(std::size_t max_rows) {
   merge_scratch_.reserve(max_rows);
   tail_.reserve(kTailLimit);
   spans_.reserve(64);
-  hits_scratch_.reserve(max_rows);
-  batch_scratch_.reserve(max_rows);
 }
 
-bool TargetStore::insert(const Address& a, int day) {
+bool TargetStore::insert(const Address& a) {
   if (!index_.insert(a)) return false;
   const auto row = static_cast<std::uint32_t>(addresses_.size());
   addresses_.push_back(a);
-  first_seen_.push_back(day);
   aliased_.push_back(0);
 
   tail_.push_back(Entry{a, row});
@@ -87,38 +84,31 @@ bool TargetStore::insert(const Address& a, int day) {
   return true;
 }
 
-void TargetStore::gather_range(const Address& first, const Address& last,
-                               std::vector<Entry>* hits) const {
+void TargetStore::rows_within(const Prefix& prefix,
+                              std::vector<std::uint32_t>* rows) const {
+  const Address& first = prefix.address();
+  const Address last = last_address(prefix);
   for (const auto& span : spans_) {
     const Entry* begin = run_storage_.data() + span.offset;
     const Entry* end = begin + span.length;
     const Entry* it = std::lower_bound(
         begin, end, first,
         [](const Entry& e, const Address& a) { return e.address < a; });
-    for (; it != end && !(last < it->address); ++it) {
-      hits->push_back(*it);
-    }
+    for (; it != end && !(last < it->address); ++it) rows->push_back(it->row);
   }
   for (const auto& entry : tail_) {
     if (!(entry.address < first) && !(last < entry.address)) {
-      hits->push_back(entry);
+      rows->push_back(entry.row);
     }
   }
 }
 
 void TargetStore::rows_within_many(const std::vector<Prefix>& prefixes,
                                    std::vector<std::uint32_t>* rows) const {
-  hits_scratch_.clear();
-  for (const auto& prefix : prefixes) {
-    gather_range(prefix.address(), last_address(prefix), &hits_scratch_);
-  }
-  batch_scratch_.clear();
-  for (const auto& entry : hits_scratch_) batch_scratch_.push_back(entry.row);
-  std::sort(batch_scratch_.begin(), batch_scratch_.end());
-  batch_scratch_.erase(
-      std::unique(batch_scratch_.begin(), batch_scratch_.end()),
-      batch_scratch_.end());
-  rows->insert(rows->end(), batch_scratch_.begin(), batch_scratch_.end());
+  const std::ptrdiff_t begin = static_cast<std::ptrdiff_t>(rows->size());
+  for (const auto& prefix : prefixes) rows_within(prefix, rows);
+  std::sort(rows->begin() + begin, rows->end());
+  rows->erase(std::unique(rows->begin() + begin, rows->end()), rows->end());
 }
 
 }  // namespace v6h::hitlist

@@ -2,17 +2,16 @@
 
 // Columnar (struct-of-arrays) backing store for the cumulative
 // hitlist — the shared substrate of the delta-driven day loop. One
-// row per unique address, in first-seen order; the columns the day
-// stages need (first-seen day, current aliased verdict) live in their
-// own dense arrays so a stage touches only the bytes it reads.
+// row per unique address, in first-seen order; the column the day
+// stages need (each row's aliased count) lives in its own dense array
+// so a stage touches only the bytes it reads.
 //
 // First-seen dedup runs on a flat hash set; the "all targets inside
 // this prefix" range queries run on sorted-run blocks: appended rows
 // collect in a small tail, spill into a sorted run, and runs merge
 // geometrically (logarithmic-method) so each stays a dense sorted
 // array a range query can binary-search — contiguous scans instead of
-// the pointer-chasing of the old std::map index, and one call answers
-// a whole flip-list of prefixes.
+// the pointer-chasing of the old std::map index.
 //
 // All runs live back-to-back in ONE arena (run_storage_) addressed by
 // (offset, length) spans: runs form a stack, and the logarithmic
@@ -61,28 +60,38 @@ class TargetStore {
   /// run merges never allocate afterwards.
   void reserve(std::size_t max_rows);
 
-  /// First-seen dedup: appends a row when `a` is new and returns
-  /// true; a duplicate leaves the store untouched.
-  bool insert(const ipv6::Address& a, int day);
+  /// First-seen dedup: appends a row (aliased count 0) when `a` is
+  /// new and returns true; a duplicate leaves the store untouched.
+  bool insert(const ipv6::Address& a);
 
   std::size_t size() const { return addresses_.size(); }
   const std::vector<ipv6::Address>& addresses() const { return addresses_; }
   const ipv6::Address& address(std::size_t row) const { return addresses_[row]; }
-  int first_seen_day(std::size_t row) const { return first_seen_[row]; }
   bool aliased(std::size_t row) const { return aliased_[row] != 0; }
 
-  /// The aliased-flag column, one byte per row (nonzero = inside
-  /// detected aliased space). The day's scan list is swept from it
+  /// The aliased column, one byte per row: how many currently aliased
+  /// prefixes contain the row (in the pipeline 0 to 5: up to four
+  /// level prefixes and one announcement), so nonzero = inside
+  /// detected aliased space. The day's scan list is swept from it
   /// (scan::ScanFrame::admit_unaliased).
   const std::vector<char>& aliased() const { return aliased_; }
 
-  void set_aliased(std::size_t row, bool value) { aliased_[row] = value; }
+  /// Move `row`'s aliased count by `delta`. It writes that row's byte
+  /// only, so engine workers may call it on disjoint rows between
+  /// coordinator mutations; the pool barrier publishes the writes.
+  void add_cover(std::size_t row, int delta) {
+    aliased_[row] = static_cast<char>(aliased_[row] + delta);
+  }
 
-  /// Append the rows whose address lies inside any of `prefixes`, in
-  /// ascending row order without duplicates (nested flip prefixes
-  /// would otherwise emit their overlap once per prefix). Each prefix
-  /// costs a binary search per sorted run plus a bounded tail scan,
-  /// so a flipped prefix re-filters only its members.
+  /// Append the rows whose address lies inside `prefix`, each once, in
+  /// no particular order: a binary search per sorted run plus a
+  /// bounded tail scan, so the cost is O(log n + members).
+  void rows_within(const ipv6::Prefix& prefix,
+                   std::vector<std::uint32_t>* rows) const;
+
+  /// Append the rows inside any of `prefixes`, in ascending row order
+  /// without duplicates (nested prefixes would otherwise emit their
+  /// overlap once per prefix).
   void rows_within_many(const std::vector<ipv6::Prefix>& prefixes,
                         std::vector<std::uint32_t>* rows) const;
 
@@ -104,12 +113,7 @@ class TargetStore {
     std::uint32_t length = 0;
   };
 
-  // Collect matches of one [first, last] address range as entries.
-  void gather_range(const ipv6::Address& first, const ipv6::Address& last,
-                    std::vector<Entry>* hits) const;
-
   std::vector<ipv6::Address> addresses_;
-  std::vector<std::int32_t> first_seen_;
   std::vector<char> aliased_;
   util::FlatSet<ipv6::Address, ipv6::AddressHash> index_;
   // Ordered index: geometric sorted runs in one arena + an unsorted
@@ -119,12 +123,6 @@ class TargetStore {
   std::vector<RunSpan> spans_;
   std::vector<Entry> tail_;
   std::vector<Entry> merge_scratch_;
-  // Reused scratch of rows_within_many. Mutable because that const
-  // query writes it, so the store is thread-compatible, not
-  // thread-safe: the day loop's coordinator thread owns all calls, and
-  // engine workers only see columns handed to them between mutations.
-  mutable std::vector<Entry> hits_scratch_;
-  mutable std::vector<std::uint32_t> batch_scratch_;
 };
 
 }  // namespace v6h::hitlist

@@ -55,7 +55,7 @@ class ScanEngine {
   void sync(const hitlist::TargetStore& store, int day);
 
   /// The daily protocol scan: probe the non-aliased rows of `store`
-  /// (swept from its aliased-flag column, as many as the schedule's
+  /// (swept from its aliased-count column, as many as the schedule's
   /// budget admits) under `schedule`, filling `frame` in place —
   /// clear()+refill with capacity retained, so a steady-state day
   /// allocates nothing. Requires sync(store, day) first.

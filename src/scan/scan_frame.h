@@ -8,7 +8,7 @@
 // producer's row space (hitlist::TargetStore rows for the daily scan,
 // input-list positions for ad-hoc scans), the admitted-row index the
 // schedule actually probed (the daily scan sweeps it from the store's
-// aliased-flag column, so it is the only scan list), and O(1)
+// aliased-count column, so it is the only scan list), and O(1)
 // response tallies computed in one serial pass at scan end.
 // clear()+refill retains capacity, so a steady-state day performs
 // zero heap allocations in the scan path (tests/test_scan_frame.cpp
@@ -69,8 +69,8 @@ class ScanFrame {
   /// nothing.
   void reset(int day, const ipv6::Address* addrs, std::size_t row_count);
 
-  /// Admit the first `limit` rows whose `aliased` flag is clear, in
-  /// row order: the sweep reads one flag per row of row_count() and
+  /// Admit the first `limit` rows whose `aliased` byte is zero, in
+  /// row order: the sweep reads one byte per row of row_count() and
   /// stops once `limit` rows are admitted.
   void admit_unaliased(const char* aliased, std::size_t limit);
 

@@ -15,10 +15,11 @@
 //  - Raw verdict i is "aliased" iff all 16 of candidate i's fan-out
 //    addresses answer NetworkSim::probe at seq = nybble, on the
 //    reference NetworkSim below.
-//  - The filter holds exactly detector().current_aliased(): the same
-//    size, and every prefix of that list.
-//  - Every row's aliased flag equals a linear Prefix::contains scan
-//    over current_aliased().
+//  - report.aliased_prefixes equals current_aliased().size().
+//  - Every row's aliased byte in store().aliased() equals a linear
+//    Prefix::contains count over current_aliased(), and so does
+//    detector().aliased_cover(row address). A yes/no check would miss
+//    a count that is off by one but still nonzero.
 //  - scan().rows() equals the first schedule.admitted_targets(n) of
 //    the n ascending unaliased rows (all of them without a budget).
 //  - Every scanned row's protocol bit is set iff NetworkSim::probe
@@ -98,25 +99,23 @@ inline hitlist::Pipeline::DayReport run_checked_day(hitlist::Pipeline& pipeline,
   }
   CHECK_EQ(fanout_mismatches, 0u);
   const std::vector<ipv6::Prefix> aliased = detector.current_aliased();
-  const hitlist::AliasFilter& filter = pipeline.filter();
-  CHECK_EQ(filter.size(), aliased.size());
-  std::size_t filter_misses = 0;
-  for (const auto& prefix : aliased) filter_misses += !filter.contains(prefix);
-  CHECK_EQ(filter_misses, 0u);
   CHECK_EQ(report.aliased_prefixes, aliased.size());
 
   const auto& store = pipeline.store();
   std::vector<std::uint32_t> unaliased;
-  std::size_t flag_mismatches = 0;
+  std::size_t count_mismatches = 0;
+  std::size_t cover_mismatches = 0;
   for (std::size_t row = 0; row < store.size(); ++row) {
-    bool inside = false;
+    unsigned covering = 0;
     for (const auto& prefix : aliased) {
-      inside = inside || prefix.contains(store.address(row));
+      covering += prefix.contains(store.address(row));
     }
-    flag_mismatches += store.aliased(row) != inside;
-    if (!inside) unaliased.push_back(static_cast<std::uint32_t>(row));
+    count_mismatches += static_cast<unsigned>(store.aliased()[row]) != covering;
+    cover_mismatches += detector.aliased_cover(store.address(row)) != covering;
+    if (covering == 0) unaliased.push_back(static_cast<std::uint32_t>(row));
   }
-  CHECK_EQ(flag_mismatches, 0u);
+  CHECK_EQ(count_mismatches, 0u);
+  CHECK_EQ(cover_mismatches, 0u);
 
   const auto& frame = report.scan();
   unaliased.resize(schedule.admitted_targets(unaliased.size()));

@@ -1,10 +1,10 @@
 // The day-loop zero-allocation contract: once the pipeline is warm,
 // an entire run_day — collect, candidate counting, APD verdicts and
-// fan-out, alias filtering, resolution-cache extension, and the
+// fan-out, per-row aliased counts, resolution-cache extension, and the
 // protocol scan — performs ZERO heap allocations, measured with the
 // global counting allocator across ALL threads. Flip days (days whose
-// APD verdicts move prefixes in or out of the alias filter,
-// re-filtering the members) are explicitly required in the checked
+// APD verdicts move prefixes in or out of the aliased set, stepping
+// their members' counts) are explicitly required in the checked
 // window: verdict application is the most tempting place to allocate,
 // so a window without flips would prove nothing about it. The
 // contract covers retrying schedules too: the retry pass re-probes
@@ -89,7 +89,7 @@ void run_quiet_days(unsigned threads, const QuietWindow& window) {
   }
   CHECK(responsive_total > 0);  // the days did real scan work
   // The window must contain at least one verdict-flip day, or the
-  // claim below would silently skip the filter-mutation path.
+  // claim below would silently skip the count-stepping path.
   CHECK(flips_in_window > 0);
   for (int d = window.warmup_days; d < window.total_days; ++d) {
     const auto allocs = allocs_per_day[static_cast<std::size_t>(d)];

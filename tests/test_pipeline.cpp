@@ -30,12 +30,15 @@ static void run_tests() {
 
   // APD found aliased space, and verdicts are sound: flagged addresses
   // are mostly truly aliased, and plenty of aliased targets are caught.
-  const auto& filter = pipeline.filter();
+  const auto& detector = pipeline.detector();
+  const auto& store = pipeline.store();
   CHECK(day3.aliased_prefixes > 0);
-  CHECK_EQ(filter.size(), day3.aliased_prefixes);
+  CHECK_EQ(detector.aliased_count(), day3.aliased_prefixes);
+  CHECK_EQ(detector.current_aliased().size(), day3.aliased_prefixes);
   std::size_t flagged = 0, flagged_correct = 0, truly = 0, caught = 0;
-  for (const auto& a : pipeline.targets()) {
-    const bool mine = filter.is_aliased(a);
+  for (std::size_t row = 0; row < store.size(); ++row) {
+    const auto& a = store.address(row);
+    const bool mine = store.aliased(row);
     const bool truth = universe.truly_aliased_at(a);
     flagged += mine;
     flagged_correct += mine && truth;
@@ -49,21 +52,20 @@ static void run_tests() {
   // The bulk of truly aliased hitlist addresses is detected.
   CHECK(caught * 10 >= truly * 6);
 
-  // Columnar store: rows align with targets(), first-seen days are
-  // real run days, and the per-row flags mirror the persistent filter.
-  const auto& store = pipeline.store();
+  // Columnar store: rows align with targets(), and each row's aliased
+  // count is the detector's answer for its address.
   CHECK_EQ(store.size(), pipeline.targets().size());
   for (std::size_t row = 0; row < store.size(); ++row) {
     CHECK(store.address(row) == pipeline.targets()[row]);
-    CHECK(store.first_seen_day(row) >= 268 && store.first_seen_day(row) <= 270);
-    CHECK_EQ(store.aliased(row), filter.is_aliased(store.address(row)));
+    CHECK_EQ(static_cast<unsigned>(store.aliased()[row]),
+             detector.aliased_cover(store.address(row)));
   }
 
   // Prefix range queries find exactly the contained rows.
   {
-    const auto p = pipeline.detector().current_aliased().front();
+    const auto p = detector.current_aliased().front();
     std::vector<std::uint32_t> rows;
-    store.rows_within_many({p}, &rows);
+    store.rows_within(p, &rows);
     std::size_t brute = 0;
     for (const auto& a : pipeline.targets()) brute += p.contains(a);
     CHECK_EQ(rows.size(), brute);
@@ -85,7 +87,7 @@ static void run_tests() {
   CHECK(day3.scanned_targets < pipeline.targets().size());
   std::size_t responsive = 0;
   for (const auto row : frame.rows()) {
-    CHECK(!filter.is_aliased(frame.address_of_row(row)));
+    CHECK_EQ(detector.aliased_cover(frame.address_of_row(row)), 0u);
     responsive += frame.mask_of_row(row) != 0;
   }
   CHECK(responsive > 0);

@@ -1,7 +1,7 @@
 // The zero-allocation scan-result contract: a warm ScanEngine
 // refilling a warm ScanFrame over a warm TargetStore must perform zero
 // heap allocations in the scan path — scan_store, including the frame
-// reset, the admission sweep over the aliased-flag column, the probe
+// reset, the admission sweep over the aliased column, the probe
 // sweep, and the completion pass. Enforced with a global counting
 // allocator. Also covers ScanFrame semantics: reuse across days,
 // admission against a flag array, and tallies vs a brute-force
@@ -33,11 +33,11 @@ hitlist::TargetStore build_store(const netsim::Universe& universe) {
   for (const auto& zone : universe.zones()) {
     const auto pool = zone.discoverable_count();
     for (std::uint32_t k = 0; k < pool && k < 40; ++k) {
-      store.insert(zone.discoverable_address(k, /*day=*/0), 0);
+      store.insert(zone.discoverable_address(k, /*day=*/0));
     }
   }
   for (std::size_t row = 0; row < store.size(); ++row) {
-    if (rng.uniform_real() < 0.1) store.set_aliased(row, true);
+    if (rng.uniform_real() < 0.1) store.add_cover(row, 1);
   }
   return store;
 }
@@ -78,10 +78,10 @@ void run_zero_allocation_scan() {
   // warm-up day's, since about 90% of the toggled rows were clean)
   // refills allocation-free.
   for (std::size_t row = 0; row < store.size(); row += 97) {
-    store.set_aliased(row, !store.aliased(row));
+    store.add_cover(row, store.aliased(row) ? -1 : 1);
   }
   for (std::size_t row = 0; row < store.size(); row += 113) {
-    store.set_aliased(row, true);  // shrink-only batch
+    store.add_cover(row, 1);  // shrink-only batch
   }
   {
     const std::uint64_t before = allocations();

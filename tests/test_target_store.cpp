@@ -1,9 +1,9 @@
 // TargetStore's sorted-run ordered index: the dedup contract,
-// rows_within_many against a brute-force filter across single
-// prefixes of every length (including /0 and /128) and across nested
-// ones (dedup, row order, append), and the run-merge machinery across
-// many spill boundaries. Plus the aliased-flag column set_aliased
-// writes.
+// rows_within and rows_within_many against a brute-force filter
+// across single prefixes of every length (including /0 and /128) and
+// across nested ones (dedup, row order, append), and the run-merge
+// machinery across many spill boundaries. Plus the aliased-count
+// column add_cover moves.
 
 #include <algorithm>
 #include <vector>
@@ -44,10 +44,10 @@ void run_sorted_run_tests() {
     }
     const bool fresh =
         std::find(inserted.begin(), inserted.end(), a) == inserted.end();
-    CHECK_EQ(store.insert(a, i % 30), fresh);
+    CHECK_EQ(store.insert(a), fresh);
     if (fresh) inserted.push_back(a);
     if (i % 1000 == 0) {
-      CHECK(!store.insert(inserted.front(), i % 30));  // duplicate rejected
+      CHECK(!store.insert(inserted.front()));  // duplicate rejected
     }
   }
   CHECK_EQ(store.size(), inserted.size());
@@ -80,6 +80,13 @@ void run_sorted_run_tests() {
     const auto expected = brute_force(prefix);
     CHECK(rows == expected);
     nonempty += !expected.empty();
+    // One prefix's members, each once, in no particular order.
+    std::vector<std::uint32_t> members{0xdead};
+    store.rows_within(prefix, &members);
+    CHECK_EQ(members.front(), 0xdeadu);
+    std::sort(members.begin() + 1, members.end());
+    CHECK(std::vector<std::uint32_t>(members.begin() + 1, members.end()) ==
+          expected);
   }
   CHECK(nonempty >= bases.size());  // the clustered queries had members
 
@@ -108,18 +115,23 @@ void run_sorted_run_tests() {
     CHECK(store.address(row) == inserted[row]);
   }
 
-  // Rows start clean; set_aliased writes exactly its row's flag, in
-  // both directions, and the column reads the same as aliased(row).
+  // Rows start at count 0; add_cover moves exactly its row's count, in
+  // both directions, aliased(row) reads "count nonzero", and the column
+  // holds the count itself.
   CHECK_EQ(store.aliased().size(), store.size());
-  store.set_aliased(3, true);
-  store.set_aliased(5, true);
-  store.set_aliased(5, false);
-  std::size_t flag_mismatches = 0;
+  store.add_cover(3, 1);
+  store.add_cover(3, 1);
+  store.add_cover(5, 1);
+  store.add_cover(5, -1);
+  store.add_cover(7, 2);
+  store.add_cover(7, -1);
+  std::size_t count_mismatches = 0;
   for (std::size_t row = 0; row < store.size(); ++row) {
-    flag_mismatches += store.aliased(row) != (row == 3) ||
-                       (store.aliased()[row] != 0) != store.aliased(row);
+    const int want = row == 3 ? 2 : row == 7 ? 1 : 0;
+    count_mismatches += store.aliased()[row] != want ||
+                        store.aliased(row) != (want != 0);
   }
-  CHECK_EQ(flag_mismatches, 0u);
+  CHECK_EQ(count_mismatches, 0u);
 }
 
 void run_tests() { run_sorted_run_tests(); }

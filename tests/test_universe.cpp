@@ -1,6 +1,9 @@
 // Universe determinism and internal consistency, plus probe-level
 // invariants of the simulated wire.
 
+#include <algorithm>
+#include <vector>
+
 #include "netsim/network_sim.h"
 #include "netsim/universe.h"
 #include "test_main.h"
@@ -118,6 +121,31 @@ static void run_tests() {
   CHECK(sim.probes_sent() > 0);
   CHECK_EQ(a.as_name(16509), std::string("Amazon"));
   CHECK_EQ(a.as_name(4), std::string("AS4"));
+
+  // No announcement contains another (nor repeats one): each AS
+  // announces either its own /32 or /48s inside that /32.
+  // AliasDetector::aliased_cover's count is exact only under this,
+  // since it visits one announcement per address. Sorted by (address, length), a
+  // prefix that contains any other contains the entry right after it.
+  for (const std::uint64_t seed : {1, 2, 7}) {
+    for (const double scale : {0.05, 0.3}) {
+      UniverseParams nesting;
+      nesting.seed = seed;
+      nesting.scale = scale;
+      const Universe universe(nesting);
+      std::vector<ipv6::Prefix> announced;
+      for (const auto& announcement : universe.bgp().announcements()) {
+        announced.push_back(announcement.prefix);
+      }
+      std::sort(announced.begin(), announced.end());
+      std::size_t nested = 0;
+      for (std::size_t i = 0; i + 1 < announced.size(); ++i) {
+        nested += announced[i].contains(announced[i + 1]);
+      }
+      CHECK(announced.size() > 1000);
+      CHECK_EQ(nested, 0u);
+    }
+  }
 }
 
 TEST_MAIN()
