@@ -63,9 +63,9 @@ int main(int argc, char** argv) {
   for (const auto& [prefix, count] : responses.raw()) {
     announced_with_responses.push_back(prefix);
   }
+  bgp_detector.admit(announced_with_responses);
   std::vector<ipv6::Prefix> became_aliased, became_clean;
-  bgp_detector.run_day_on_prefixes(announced_with_responses, args.horizon,
-                                   &became_aliased, &became_clean);
+  bgp_detector.run_day(args.horizon, &became_aliased, &became_clean);
   std::vector<zesplot::Item> items_b;
   std::size_t aliased_count = 0;
   std::map<std::uint8_t, std::size_t> aliased_lengths;

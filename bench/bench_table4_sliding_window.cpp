@@ -32,10 +32,10 @@ int main(int argc, char** argv) {
     apd::ApdOptions options;
     options.window_days = window;
     apd::AliasDetector detector(sim, options, &eng);
+    detector.admit(prefixes);
     std::vector<ipv6::Prefix> became_aliased, became_clean;
     for (int day = 0; day < days; ++day) {
-      detector.run_day_on_prefixes(prefixes, day, &became_aliased,
-                                   &became_clean);
+      detector.run_day(day, &became_aliased, &became_clean);
     }
     unsigned unstable = 0;
     for (const auto& [prefix, flips] : detector.verdict_flips()) {

@@ -52,6 +52,9 @@ constexpr std::size_t kDescentGrain = 256;
 AliasDetector::AliasDetector(netsim::NetworkSim& sim, const ApdOptions& options,
                              engine::Engine* engine)
     : sim_(&sim), options_(options), engine_(engine) {
+  // The table holds ~1.4-1.8 slots per hitlist address, reserved at
+  // under 2/3 load and touched by every construction: keep it small.
+  static_assert(sizeof(decltype(state_)::value_type) <= 32);
   if (options_.window_days > SlidingVerdict::kMaxWindowDays) {
     std::fprintf(stderr, "AliasDetector: window_days %u exceeds the maximum %u\n",
                  options_.window_days, SlidingVerdict::kMaxWindowDays);
@@ -72,71 +75,63 @@ void AliasDetector::reserve_for(std::size_t max_addresses) {
   state_.reserve(tracked_bound(max_addresses));
   candidates_.reserve(candidates);
   cursors_.reserve(candidates);
-  crossed_.reserve(candidates);
-  descents_.reserve(candidates);
+  windows_.reserve(candidates);
+  flips_.reserve(candidates);
   outcomes_.reserve(candidates);
+  transitions_.reserve(candidates);
 }
 
-AliasDetector::PrefixState& AliasDetector::state_of(const Prefix& prefix) {
-  auto [entry, inserted] = state_.try_emplace(prefix);
-  if (inserted) entry->second.window = SlidingVerdict(options_.window_days);
-  return entry->second;
+void AliasDetector::append(const Prefix& prefix, Slot& slot) {
+  slot.index = static_cast<std::uint32_t>(candidates_.size());
+  candidates_.push_back(prefix);
 }
 
 void AliasDetector::add_addresses(const Address* addrs, std::size_t count) {
-  if (count == 0) return;
   // Counts only ever grow, one per address and level, so a prefix
   // crosses min_targets exactly once: on the increment that reaches
-  // it. The crossing set is a pure function of the address set, and
-  // sorting makes its order canonical too.
+  // it. The crossing order is a pure function of the row order.
   const std::size_t threshold = min_targets();
   const netsim::BgpTable& bgp = sim_->universe().bgp();
-  crossed_.clear();
+  const std::size_t first = candidates_.size();
   for (std::size_t i = 0; i < count; ++i) {
     for_each_level_prefix(addrs[i], bgp, [&](const Prefix& prefix) {
-      if (++state_of(prefix).count == threshold) crossed_.push_back(prefix);
+      Slot& slot = state_.try_emplace(prefix).first->second;
+      if (++slot.count == threshold && slot.index == Slot::kNoIndex) {
+        append(prefix, slot);
+      }
     });
   }
-  std::sort(crossed_.begin(), crossed_.end());
-  // A candidate's zone-trie path depends on nothing but its prefix, so
-  // it descends once, here, and keeps the cursor for every later day.
-  descend(crossed_.data(), crossed_.size());
-  // Merge both columns in place, from the back: they grow into their
-  // reserved capacity, and every write lands at or above the slot it
-  // reads, so no second buffer is needed (std::merge forbids an output
-  // that overlaps its input). Once the crossings run out, the
-  // remaining candidates are already in place.
-  std::size_t kept = candidates_.size();
-  std::size_t added = crossed_.size();
-  std::size_t out = kept + added;
-  candidates_.resize(out);
-  cursors_.resize(out);
-  while (added > 0) {
-    --out;
-    if (kept > 0 && crossed_[added - 1] < candidates_[kept - 1]) {
-      --kept;
-      candidates_[out] = candidates_[kept];
-      cursors_[out] = cursors_[kept];
-    } else {
-      --added;
-      candidates_[out] = crossed_[added];
-      cursors_[out] = descents_[added];
-    }
-  }
+  grow_columns(first);
 }
 
-void AliasDetector::descend(const Prefix* prefixes, std::size_t n) {
-  descents_.resize(n);
+void AliasDetector::admit(const std::vector<Prefix>& prefixes) {
+  const std::size_t first = candidates_.size();
+  for (const Prefix& prefix : prefixes) {
+    Slot& slot = state_.try_emplace(prefix).first->second;
+    if (slot.index == Slot::kNoIndex) append(prefix, slot);
+  }
+  grow_columns(first);
+}
+
+void AliasDetector::grow_columns(std::size_t first) {
+  const std::size_t n = candidates_.size();
+  cursors_.resize(n);
+  windows_.resize(n, SlidingVerdict(options_.window_days));
+  flips_.resize(n, 0);
+  outcomes_.resize(n, 0);
+  transitions_.resize(n, 0);
+  // A candidate's zone-trie path depends on nothing but its prefix, so
+  // it descends once, here, and keeps the cursor for every later day.
   const netsim::Universe& universe = sim_->universe();
   auto descend_range = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      descents_[i] = universe.zone_cursor(prefixes[i]);
+    for (std::size_t i = first + begin; i < first + end; ++i) {
+      cursors_[i] = universe.zone_cursor(candidates_[i]);
     }
   };
   if (engine_ != nullptr) {
-    engine_->parallel_for(n, kDescentGrain, descend_range);
+    engine_->parallel_for(n - first, kDescentGrain, descend_range);
   } else {
-    descend_range(0, n);
+    descend_range(0, n - first);
   }
 }
 
@@ -162,39 +157,30 @@ bool AliasDetector::probe_prefix(const Prefix& prefix,
 
 void AliasDetector::run_day(int day, std::vector<Prefix>* became_aliased,
                             std::vector<Prefix>* became_clean) {
-  run_batch(candidates_.data(), cursors_.data(), candidates_.size(), day,
-            became_aliased, became_clean);
-}
-
-void AliasDetector::run_day_on_prefixes(const std::vector<Prefix>& prefixes,
-                                        int day,
-                                        std::vector<Prefix>* became_aliased,
-                                        std::vector<Prefix>* became_clean) {
-  descend(prefixes.data(), prefixes.size());
-  run_batch(prefixes.data(), descents_.data(), prefixes.size(), day,
-            became_aliased, became_clean);
-}
-
-void AliasDetector::run_batch(const Prefix* prefixes,
-                              const netsim::Universe::ZoneCursor* cursors,
-                              std::size_t n, int day,
-                              std::vector<Prefix>* became_aliased,
-                              std::vector<Prefix>* became_clean) {
-  // Covers the fan-out probes AND the serial window merge; purely
+  // Covers the fan-out probes AND the serial transition pass; purely
   // observational (lane-local stores + clock reads), so verdicts are
   // identical with obs_ attached or null.
   obs::StageSpan span(obs_, obs::Stage::kApd);
   became_aliased->clear();
   became_clean->clear();
-  outcomes_.resize(n);
-  // Contiguous index chunks: a sorted candidate batch keeps each chunk
-  // inside one region of the address space. Verdicts are
-  // index-addressed, so the merge below reads them back in input order
-  // regardless of scheduling.
+  const std::size_t n = candidates_.size();
   const FanoutSeeds seeds = fanout_seeds(day);
+  // Each chunk decides its candidates and updates their verdict
+  // columns: disjoint index-addressed writes, so the result does not
+  // depend on scheduling.
   auto probe_range = [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
-      outcomes_[i] = probe_prefix(prefixes[i], cursors[i], seeds, day);
+      const bool aliased_today =
+          probe_prefix(candidates_[i], cursors_[i], seeds, day);
+      outcomes_[i] = aliased_today;
+      SlidingVerdict& window = windows_[i];
+      // The effective previous verdict — a prefix without one yet is
+      // clean, so a first-day aliased verdict is a became_aliased
+      // event even though the Table-4 flip counter (which measures
+      // verdict *instability*) does not count it.
+      const bool previous = window.has_verdict() && window.verdict();
+      flips_[i] += window.update(aliased_today);
+      transitions_[i] = window.verdict() != previous;
     }
   };
   if (engine_ != nullptr) {
@@ -202,23 +188,15 @@ void AliasDetector::run_batch(const Prefix* prefixes,
   } else {
     probe_range(0, n);
   }
-  // Deterministic merge: windows update serially in input order.
   for (std::size_t i = 0; i < n; ++i) {
-    const Prefix& prefix = prefixes[i];
-    PrefixState& state = state_of(prefix);
-    SlidingVerdict& window = state.window;
-    // The effective previous verdict — a prefix without one yet is
-    // clean, so a first-day aliased verdict is a became_aliased event
-    // even though the Table-4 flip counter (which measures verdict
-    // *instability*) does not count it.
-    const bool previous = window.has_verdict() && window.verdict();
-    if (window.update(outcomes_[i] != 0)) ++state.flips;
-    const bool current = window.verdict();
-    if (current != previous) {
-      (current ? became_aliased : became_clean)->push_back(prefix);
-      aliased_count_ = current ? aliased_count_ + 1 : aliased_count_ - 1;
-    }
+    if (transitions_[i] == 0) continue;
+    const bool aliased = windows_[i].verdict();
+    (aliased ? became_aliased : became_clean)->push_back(candidates_[i]);
+    aliased_count_ = aliased ? aliased_count_ + 1 : aliased_count_ - 1;
   }
+  // About 19 transitions a day; the lists are documented ascending.
+  std::sort(became_aliased->begin(), became_aliased->end());
+  std::sort(became_clean->begin(), became_clean->end());
   if (obs_ != nullptr) obs_->registry().add(obs_->core().apd_probes, 16 * n);
 }
 
@@ -226,41 +204,37 @@ std::vector<Prefix> AliasDetector::candidate_prefixes(
     const std::vector<Address>& targets) const {
   std::unordered_map<Prefix, std::size_t, ipv6::PrefixHash> counts;
   const auto& bgp = sim_->universe().bgp();
-  for (const auto& a : targets) {
-    for_each_level_prefix(a, bgp, [&](const Prefix& prefix) { ++counts[prefix]; });
-  }
   std::vector<Prefix> out;
-  // order_lint: allow(sorted-after: membership filter, out is sorted below)
-  for (const auto& [prefix, count] : counts) {
-    if (count >= options_.min_targets) out.push_back(prefix);
+  for (const auto& a : targets) {
+    for_each_level_prefix(a, bgp, [&](const Prefix& prefix) {
+      if (++counts[prefix] == min_targets()) out.push_back(prefix);
+    });
   }
-  std::sort(out.begin(), out.end());
   return out;
 }
 
 unsigned AliasDetector::aliased_cover(const Address& a) const {
   unsigned cover = 0;
   for_each_level_prefix(a, sim_->universe().bgp(), [&](const Prefix& prefix) {
-    const PrefixState* state = state_.find(prefix);
-    cover += state != nullptr && state->window.verdict();
+    const Slot* slot = state_.find(prefix);
+    cover += slot != nullptr && slot->index != Slot::kNoIndex &&
+             windows_[slot->index].verdict();
   });
   return cover;
 }
 
 std::map<Prefix, unsigned> AliasDetector::verdict_flips() const {
   std::map<Prefix, unsigned> out;
-  // order_lint: allow(sorted-after: emplaced into an ordered std::map keyed by prefix)
-  for (const auto& [prefix, state] : state_) {
-    if (state.flips > 0) out.emplace(prefix, state.flips);
+  for (std::size_t i = 0; i < candidates_.size(); ++i) {
+    if (flips_[i] > 0) out.emplace(candidates_[i], flips_[i]);
   }
   return out;
 }
 
 std::vector<Prefix> AliasDetector::current_aliased() const {
   std::vector<Prefix> out;
-  // order_lint: allow(sorted-after: membership filter, out is sorted below)
-  for (const auto& [prefix, state] : state_) {
-    if (state.window.verdict()) out.push_back(prefix);
+  for (std::size_t i = 0; i < candidates_.size(); ++i) {
+    if (windows_[i].verdict()) out.push_back(candidates_[i]);
   }
   std::sort(out.begin(), out.end());
   return out;

@@ -6,16 +6,19 @@
 // aliased. Daily verdicts are smoothed with a sliding window
 // (Table 4) to suppress rate-limiting flicker.
 //
-// One table per detector: AliasDetector keeps everything it knows
-// about a prefix (its hitlist count, its verdict window, its Table-4
-// flip counter) in one util::FlatMap slot, and the window is one
-// 64-bit shift register. Each candidate also keeps its zone-trie
-// cursor beside it, taken once when it crosses min_targets. Every
-// per-day transient (verdicts, crossing lists, transition lists) is a
-// reusable member or a caller-owned list, so a warm APD day, new
-// prefixes included once table capacity has warmed up, performs zero
-// heap allocations. tests/test_day_alloc.cpp and the symlint noalloc
-// policy's day-loop roots both enforce that.
+// AliasDetector keeps one util::FlatMap slot per counted prefix (its
+// hitlist count and, once it is a candidate, its candidate index).
+// A candidate's index is fixed for the detector's life, and its
+// verdict state lives in columns beside it: the zone-trie cursor
+// (taken once, when it becomes a candidate), the Table-4 window (one
+// 64-bit shift register), the flip counter, the raw outcome and a
+// transition flag. The probe chunk that decides candidate i updates
+// column entry i, so an APD day does no hash lookup. Every per-day
+// transient (verdicts, transition lists) is a reusable column or a
+// caller-owned list, so a warm APD day, new prefixes included once
+// table capacity has warmed up, performs zero heap allocations.
+// tests/test_day_alloc.cpp and the symlint noalloc policy's day-loop
+// roots both enforce that.
 
 #include <algorithm>
 #include <array>
@@ -95,16 +98,15 @@ class AliasDetector {
                          engine::Engine* engine = nullptr);
 
   /// Attach (or detach with nullptr) the observability layer: each
-  /// run_day or run_day_on_prefixes batch gets an "apd_fanout" stage
-  /// span and feeds the pipeline.apd_probes counter. Borrowed; never
-  /// affects verdicts.
+  /// run_day gets an "apd_fanout" stage span and feeds the
+  /// pipeline.apd_probes counter. Borrowed; never affects verdicts.
   void set_observability(obs::Observability* obs) { obs_ = obs; }
 
-  /// Pre-size the per-prefix table, the candidate and cursor columns
-  /// and the per-day scratch for a universe whose cumulative hitlist
-  /// will hold at most `max_addresses` unique addresses, so neither
-  /// counting nor an APD day grows a container mid-campaign (day-loop
-  /// zero-alloc contract).
+  /// Pre-size the per-prefix table and the candidate columns for a
+  /// universe whose cumulative hitlist will hold at most
+  /// `max_addresses` unique addresses, so neither counting nor an APD
+  /// day grows a container mid-campaign (day-loop zero-alloc
+  /// contract).
   void reserve_for(std::size_t max_addresses);
 
   /// The most candidates a hitlist of `max_addresses` unique addresses
@@ -113,16 +115,24 @@ class AliasDetector {
   std::size_t candidate_bound(std::size_t max_addresses) const;
 
   /// Count `count` new (already deduplicated) addresses into the
-  /// per-prefix table. A prefix joins candidates() on the increment
-  /// that brings its count to min_targets, and descends the zone trie
-  /// then, once (in index chunks on the engine workers when one is
-  /// attached and the crossings are many, as on a first day). Counts
-  /// only grow, so candidates() always equals candidate_prefixes()
-  /// over every address counted so far, in the same order.
+  /// per-prefix table. A prefix is appended to candidates() on the
+  /// increment that brings its count to min_targets, by address and
+  /// then in level order (/48, /64, /96, /112, announcement), and
+  /// descends the zone trie then, once (in index chunks on the engine
+  /// workers when one is attached and the crossings are many, as on a
+  /// first day). Counts only grow, so candidates() always equals
+  /// candidate_prefixes() over every address counted so far, in the
+  /// same order.
   void add_addresses(const ipv6::Address* addrs, std::size_t count);
 
-  /// All prefixes holding >= min_targets counted addresses, sorted:
-  /// the pipeline's daily APD batch.
+  /// Make an explicit list into candidates (bench_table4, bench_fig5):
+  /// each prefix without a candidate index is appended and descends
+  /// exactly as a crossing in add_addresses does; its count is left
+  /// alone. A prefix that is already a candidate is skipped.
+  void admit(const std::vector<ipv6::Prefix>& prefixes);
+
+  /// Every candidate, in the order it became one: the daily APD
+  /// batch. Candidate i keeps index i for the detector's life.
   const std::vector<ipv6::Prefix>& candidates() const { return candidates_; }
 
   /// Each candidate's zone-trie cursor, aligned with candidates():
@@ -137,8 +147,8 @@ class AliasDetector {
   }
 
   /// The 16 fan-out address seeds of `day`, one per nybble. They do
-  /// not depend on the prefix, so each batch derives them once, on
-  /// the calling thread.
+  /// not depend on the prefix, so each day derives them once, on the
+  /// calling thread.
   using FanoutSeeds = std::array<std::uint64_t, 16>;
   static FanoutSeeds fanout_seeds(int day);
 
@@ -152,11 +162,11 @@ class AliasDetector {
                     const netsim::Universe::ZoneCursor& cursor,
                     const FanoutSeeds& seeds, int day) const;
 
-  /// The pipeline's APD day over candidates(), each decided from its
-  /// cached cursor: probe (in index chunks on the engine workers when
-  /// one is attached), then update windows in candidate order.
-  /// `became_aliased` and `became_clean` are cleared and refilled, in
-  /// batch order, with the verdict transitions relative to the
+  /// The APD day over candidates(), each decided from its cached
+  /// cursor. The chunk that decides candidate i (on the engine
+  /// workers when one is attached) also updates its window and flip
+  /// count. `became_aliased` and `became_clean` are cleared and
+  /// refilled, ascending, with the verdict transitions relative to the
   /// effective previous verdict (a never-probed prefix counts as
   /// clean): the +1 and -1 steps of the pipeline's per-row aliased
   /// counts. Both lists are caller-owned and keep their capacity, so a
@@ -164,74 +174,59 @@ class AliasDetector {
   void run_day(int day, std::vector<ipv6::Prefix>* became_aliased,
                std::vector<ipv6::Prefix>* became_clean);
 
-  /// run_day over an explicit batch, which need not be candidates
-  /// (bench_table4, bench_fig5): each prefix descends the zone trie
-  /// first, then the batch runs the same loop run_day does.
-  void run_day_on_prefixes(const std::vector<ipv6::Prefix>& prefixes, int day,
-                           std::vector<ipv6::Prefix>* became_aliased,
-                           std::vector<ipv6::Prefix>* became_clean);
-
-  /// The last batch's raw fan-out verdicts, one byte each (nonzero =
-  /// all 16 answered), aligned with that batch: with candidates()
-  /// after run_day, with the caller's list after run_day_on_prefixes.
-  /// Valid until the next call.
+  /// The last run_day's raw fan-out verdicts, one byte each (nonzero =
+  /// all 16 answered), aligned with candidates(); a candidate added
+  /// since then reads 0.
   const std::vector<char>& outcomes() const { return outcomes_; }
 
   /// Multi-level candidate enumeration from hitlist addresses: the
-  /// announced prefix plus /48../112 aggregates holding enough targets.
+  /// announced prefix plus /48../112 aggregates holding enough
+  /// targets, in the order add_addresses would make them candidates.
   /// A full recount over `targets` that reads none of the per-prefix
   /// table; the day oracle compares candidates() against it.
   std::vector<ipv6::Prefix> candidate_prefixes(
       const std::vector<ipv6::Address>& targets) const;
 
-  /// How often each prefix's windowed verdict changed (Table 4),
-  /// materialized in sorted order from the flat per-prefix state.
+  /// How often each candidate's windowed verdict changed (Table 4).
   std::map<ipv6::Prefix, unsigned> verdict_flips() const;
 
   /// All prefixes whose current windowed verdict is "aliased", sorted.
   std::vector<ipv6::Prefix> current_aliased() const;
 
-  /// current_aliased().size(), kept current by every batch.
+  /// current_aliased().size(), kept current by every run_day.
   std::size_t aliased_count() const { return aliased_count_; }
 
   /// How many of `a`'s level prefixes (the ones add_addresses counts
   /// it into: its /48../112 aggregates and its announcement) have an
   /// aliased windowed verdict. Read-only, so engine workers call it
-  /// concurrently between batches.
+  /// concurrently between days.
   ///
   /// This is exactly the number of aliased prefixes containing `a`
-  /// when only candidates were probed (the pipeline's run_day) and no
-  /// announcement lies inside another. Then every aliased prefix is a
-  /// /48../112 aggregate or the announcement of some counted address;
-  /// an aggregate containing `a` is `a`'s own at that length, and an
-  /// announcement containing `a` is the one announcement covering `a`.
+  /// when every candidate came from add_addresses (the pipeline) and
+  /// no announcement lies inside another. Then every aliased prefix is
+  /// a /48../112 aggregate or the announcement of some counted
+  /// address; an aggregate containing `a` is `a`'s own at that length,
+  /// and an announcement containing `a` is the one announcement
+  /// covering `a`.
   unsigned aliased_cover(const ipv6::Address& a) const;
 
   const ApdOptions& options() const { return options_; }
 
  private:
-  // Everything the detector knows about one prefix. A prefix is
-  // usually counted (add_addresses) before it is first probed;
-  // prefixes probed in an explicit batch keep count 0.
-  struct PrefixState {
-    std::uint32_t count = 0;  // counted hitlist addresses inside
-    std::uint32_t flips = 0;  // Table-4 verdict changes
-    SlidingVerdict window;
+  // One counted (or admitted) prefix's table slot. Prefixes admitted
+  // from an explicit list keep count 0.
+  struct Slot {
+    static constexpr std::uint32_t kNoIndex = 0xffffffffu;
+    std::uint32_t count = 0;         // counted hitlist addresses inside
+    std::uint32_t index = kNoIndex;  // into the candidate columns
   };
 
-  // Find or create `prefix`'s entry; a new one gets this detector's
-  // window length.
-  PrefixState& state_of(const ipv6::Prefix& prefix);
+  // Append `prefix`, whose slot is `slot`, to candidates_.
+  void append(const ipv6::Prefix& prefix, Slot& slot);
 
-  // descents_[i] = universe().zone_cursor(prefixes[i]) for i < n.
-  void descend(const ipv6::Prefix* prefixes, std::size_t n);
-
-  // The one APD batch loop: decide prefixes[i] from cursors[i] into
-  // outcomes_[i], then merge the windows serially in batch order.
-  void run_batch(const ipv6::Prefix* prefixes,
-                 const netsim::Universe::ZoneCursor* cursors, std::size_t n,
-                 int day, std::vector<ipv6::Prefix>* became_aliased,
-                 std::vector<ipv6::Prefix>* became_clean);
+  // Grow every other column to candidates_.size(), the new entries
+  // [first, size) fresh, and descend the new candidates' cursors.
+  void grow_columns(std::size_t first);
 
   // min_targets 0 counts as 1: a fresh entry starts at 0, which would
   // otherwise read as "already a candidate" and never cross, while
@@ -244,22 +239,20 @@ class AliasDetector {
   ApdOptions options_;
   engine::Engine* engine_;
   obs::Observability* obs_ = nullptr;
-  util::FlatMap<ipv6::Prefix, PrefixState, ipv6::PrefixHash> state_;
-  // Two aligned columns: the sorted candidates and their cursors.
-  // Written only by add_addresses on the coordinator; run_day's
-  // workers read them after dispatch.
+  util::FlatMap<ipv6::Prefix, Slot, ipv6::PrefixHash> state_;
+  // The candidate columns, all indexed by candidate. They grow only
+  // on the coordinator (add_addresses, admit). Between run_day's
+  // dispatch and the pool barrier, the chunk owning index i is the
+  // only writer of windows_[i], flips_[i], outcomes_[i] and
+  // transitions_[i] (nonzero = the windowed verdict changed today);
+  // the coordinator reads them after the barrier.
   std::vector<ipv6::Prefix> candidates_;
   std::vector<netsim::Universe::ZoneCursor> cursors_;
-  // Scratch, reused across calls: the prefixes one add_addresses call
-  // brought to min_targets, the cursors of the last descend() call,
-  // and the last batch's raw verdicts. Workers write disjoint
-  // index-addressed descents_[i] and outcomes_[i] between dispatch
-  // and the pool barrier; everything else here runs on the calling
-  // (coordinator) thread.
-  std::vector<ipv6::Prefix> crossed_;
-  std::vector<netsim::Universe::ZoneCursor> descents_;
+  std::vector<SlidingVerdict> windows_;
+  std::vector<std::uint32_t> flips_;
   std::vector<char> outcomes_;
-  std::size_t aliased_count_ = 0;  // prefixes whose verdict is aliased
+  std::vector<char> transitions_;
+  std::size_t aliased_count_ = 0;  // candidates whose verdict is aliased
 };
 
 }  // namespace v6h::apd

@@ -129,8 +129,12 @@ Pipeline::DayReport Pipeline::run_day(int day) {
         }
       }
     };
-    step(delta_.became_aliased, +1);
-    step(delta_.became_clean, -1);
+    // On a first day every row is new, so the steps would only
+    // gather member rows to skip them.
+    if (first_new > 0) {
+      step(delta_.became_aliased, +1);
+      step(delta_.became_clean, -1);
+    }
   }
   report.aliased_prefixes = detector_.aliased_count();
 

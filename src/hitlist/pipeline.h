@@ -5,9 +5,12 @@
 // targets across the protocol set.
 //
 // The day loop is delta-driven: each run_day folds only the day's new
-// addresses into the detector's per-prefix counts, gives each new row
+// addresses into the detector's per-prefix counts (a prefix that
+// reaches min_targets is appended to the candidates, whose verdict
+// columns the APD day updates in its probe chunks), gives each new row
 // its count of covering aliased prefixes, and moves the older members
-// of each flipped prefix by one.
+// of each flipped prefix by one (none on a first day, when every row
+// is new).
 //
 // The daily protocol scan runs on the resolved scan engine: a
 // persistent per-row resolution cache extended by each DayDelta
@@ -20,10 +23,10 @@
 // across days (zero steady-state allocations in the scan path);
 // DayReport borrows it. Each day result is read in one place after
 // run_day returns: the scan rows in the frame, the raw APD verdicts
-// in detector().outcomes(), the verdict transitions in
-// last_delta(), the aliased set in detector() (current_aliased(),
-// aliased_count(); aliased_cover(address) per address), and each
-// row's aliased count in store().
+// in detector().outcomes(), the verdict transitions in last_delta()
+// (each list ascending), the aliased set in detector()
+// (current_aliased(), aliased_count(); aliased_cover(address) per
+// address), and each row's aliased count in store().
 
 #include <cstdint>
 #include <vector>

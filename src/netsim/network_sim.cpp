@@ -1,5 +1,6 @@
 #include "netsim/network_sim.h"
 
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace v6h::netsim {
@@ -181,6 +182,19 @@ NetworkSim::NetworkSim(const Universe& universe) : universe_(&universe) {
   }
 }
 
+void NetworkSim::count_probes(std::uint64_t n) {
+  probes_sent_[obs::lane() % kCounterLanes].sent.fetch_add(
+      n, std::memory_order_relaxed);
+}
+
+std::uint64_t NetworkSim::probes_sent() const {
+  std::uint64_t total = 0;
+  for (const CounterCell& cell : probes_sent_) {
+    total += cell.sent.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
 ResolvedTarget NetworkSim::resolve(const Address& a, int day) const {
   ResolvedTarget r;
   const Zone* zone = universe_->zone_at(a);
@@ -213,7 +227,7 @@ ProbeResult NetworkSim::probe(const Address& a, net::Protocol protocol, int day,
   // after the probe is known to answer. All probes_sent_ updates are
   // relaxed: pure count, no data published through it (invariant at
   // the declaration).
-  probes_sent_.fetch_add(1, std::memory_order_relaxed);
+  count_probes(1);
   ProbeResult out;
   const Zone* zone = universe_->zone_at(a);
   if (zone == nullptr) return out;
@@ -257,30 +271,34 @@ bool NetworkSim::all_respond(const ipv6::Prefix& prefix,
                              const Universe::ZoneCursor& cursor,
                              const std::uint64_t* seeds, unsigned count,
                              net::Protocol protocol, int day) {
-  probes_sent_.fetch_add(count, std::memory_order_relaxed);
-  if (cursor.node < 0 && count != 0) {
+  count_probes(count);
+  const Zone* zone = nullptr;
+  const ZoneProbeParams* zp = nullptr;
+  const bool settled = cursor.node < 0 && count != 0;
+  if (settled) {
     // Settled walk: every address inside the prefix lies in one zone,
-    // or in none. Aliased space no carve-out reaches, answering without
-    // a roll per address, answers alike at every address.
-    const Zone* zone = universe_->zone_at(cursor, prefix.address());
+    // or in none, so the loop below keeps this zone. Aliased space no
+    // carve-out reaches, answering without a roll per address, answers
+    // alike at every address.
+    zone = universe_->zone_at(cursor, prefix.address());
     if (zone == nullptr) return false;
     const ZoneConfig& config = zone->config();
-    const ZoneProbeParams& zp =
-        zone_params_[static_cast<std::size_t>(zone - universe_->zones().data())];
+    zp = &zone_params_[static_cast<std::size_t>(zone - universe_->zones().data())];
     if (config.aliased &&
         !(config.carveout && (config.carveout->contains(prefix) ||
                               prefix.contains(*config.carveout))) &&
-        !aliased_rolls(zp, protocol)) {
+        !aliased_rolls(*zp, protocol)) {
       return net::responds_to(config.machine_service, protocol);
     }
   }
   for (unsigned n = 0; n < count; ++n) {
     const Address a = prefix.seeded_fanout_address(n, seeds[n]);
-    const Zone* zone = universe_->zone_at(cursor, a);
-    if (zone == nullptr) return false;
-    const ZoneProbeParams& zp =
-        zone_params_[static_cast<std::size_t>(zone - universe_->zones().data())];
-    if (!answer_of(*zone, zp, a, protocol, day, n).responded) return false;
+    if (!settled) {
+      zone = universe_->zone_at(cursor, a);
+      if (zone == nullptr) return false;
+      zp = &zone_params_[static_cast<std::size_t>(zone - universe_->zones().data())];
+    }
+    if (!answer_of(*zone, *zp, a, protocol, day, n).responded) return false;
   }
   return true;
 }
@@ -290,7 +308,7 @@ void NetworkSim::probe_resolved_mask(const ResolvedColumns& t,
                                      std::size_t count, net::Protocol protocol,
                                      int day, unsigned seq,
                                      net::ProtocolMask* masks) {
-  probes_sent_.fetch_add(count, std::memory_order_relaxed);
+  count_probes(count);
   probe_mask_branchless(t, zone_kernel_.data(), rows, count, protocol, day, seq,
                         masks);
 }

@@ -20,10 +20,11 @@
 //    Otherwise each address walks only the bits below the prefix and
 //    evaluates the responded predicate only (no machine image).
 //    Address n is built only once addresses 0..n-1 answered, so the
-//    first silent one settles it. One counter add covers every probe
-//    the measurement sends. The decision equals "every
-//    probe().responded" (tests/test_probe_kernel.cpp, and every day
-//    of tests/day_oracle.h).
+//    first silent one settles it. One add to the calling lane's
+//    counter cell covers every probe the measurement sends. The
+//    decision equals "every probe().responded"
+//    (tests/test_probe_kernel.cpp, and every day of
+//    tests/day_oracle.h).
 //  - resolve() + probe_resolved_mask(): hoist what is immutable per
 //    address (per rotation epoch) into a ResolvedTarget record once,
 //    then answer each scan probe's responded bit from the cached
@@ -33,6 +34,7 @@
 //    tests/test_scan_engine.cpp); this is the scan::ScanEngine hot
 //    path.
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <vector>
@@ -157,9 +159,10 @@ class NetworkSim {
                            std::size_t count, net::Protocol protocol, int day,
                            unsigned seq, net::ProtocolMask* masks);
 
-  std::uint64_t probes_sent() const {
-    return probes_sent_.load(std::memory_order_relaxed);
-  }
+  /// Every probe sent so far: the sum of the lanes' counter cells.
+  /// Exact once the adds it should see are ordered before it (a pool
+  /// barrier, or the same thread).
+  std::uint64_t probes_sent() const;
 
   const Universe& universe() const { return *universe_; }
 
@@ -172,20 +175,29 @@ class NetworkSim {
   // zone_params_ with thresholds in the kernel's integer form; same
   // construct-once / read-only-after discipline.
   std::vector<ZoneKernelParams> zone_kernel_;
-  // Relaxed ordering is sufficient by invariant: this counter is the
+  // Count `n` sent probes in the calling thread's lane cell.
+  void count_probes(std::uint64_t n);
+
+  // The sent-probe counter, one cache line per writer lane
+  // (obs::lane(): 0 for the coordinator, 1..N-1 for the engine
+  // workers, which claim theirs at spawn), so the fan-out's workers,
+  // each adding once per candidate, never share a line. A lane at or
+  // past kCounterLanes folds onto cell lane % kCounterLanes; the add
+  // stays an atomic fetch_add, so a shared cell still counts exactly.
+  // Relaxed ordering is sufficient by invariant: these cells are the
   // sim's ONLY mutable state, no other memory is published through
-  // it, and nothing branches on intermediate values — every reader
+  // them, and nothing branches on intermediate values. Every reader
   // (probes_sent()) runs after the pool's run() barrier, whose
   // acquire/release on ThreadPool::remaining_ already orders the
-  // adds. Atomicity alone keeps the total exact; the schedule-
-  // independent sum is what keeps output byte-identical across
-  // thread counts. Every worker writes it, once per fan-out prefix
-  // and once per scan batch, so it gets a cache line of its own:
-  // sharing one with the read-only fields above, which every probe
-  // reads, made a 4-thread campaign ~30% slower whenever the sim
-  // started on a line boundary (4-vCPU x86-64 VM, measured while each
-  // fan-out probe added one).
-  alignas(64) std::atomic<std::uint64_t> probes_sent_{0};
+  // adds. Atomicity alone keeps the sum exact; the schedule-
+  // independent sum is what keeps output byte-identical across thread
+  // counts. The first cell is aligned too, so no cell shares a line
+  // with the read-only fields above, which every probe reads.
+  static constexpr unsigned kCounterLanes = 16;
+  struct alignas(64) CounterCell {
+    std::atomic<std::uint64_t> sent{0};
+  };
+  std::array<CounterCell, kCounterLanes> probes_sent_;
 };
 
 }  // namespace v6h::netsim

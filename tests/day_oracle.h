@@ -5,9 +5,10 @@
 // diffing two production pipelines.
 //
 //  - The APD batch, detector().candidates(), equals the full recount
-//    AliasDetector::candidate_prefixes(targets()), in order (the
-//    detector's incremental per-prefix counts must never drift), and
-//    the raw verdict column detector().outcomes() is aligned with it.
+//    AliasDetector::candidate_prefixes(targets()), in crossing order
+//    (the detector's incremental per-prefix counts must never drift,
+//    and a candidate's index never moves), and the raw verdict column
+//    detector().outcomes() is aligned with it.
 //  - Each candidate's cached cursor, detector().cursors()[i], equals
 //    a fresh universe().zone_cursor(candidate i) field by field. A
 //    verdict check alone would pass a cursor taken higher up the
@@ -16,6 +17,8 @@
 //    addresses answer NetworkSim::probe at seq = nybble, on the
 //    reference NetworkSim below.
 //  - report.aliased_prefixes equals current_aliased().size().
+//  - The transition lists in last_delta() equal what current_aliased()
+//    gained and lost across the day, in strictly ascending order.
 //  - Every row's aliased byte in store().aliased() equals a linear
 //    Prefix::contains count over current_aliased(), and so does
 //    detector().aliased_cover(row address). A yes/no check would miss
@@ -36,6 +39,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -62,6 +66,8 @@ inline hitlist::Pipeline::DayReport run_checked_day(hitlist::Pipeline& pipeline,
                                                     netsim::NetworkSim& reference,
                                                     int day) {
   const scan::ProbeSchedule& schedule = pipeline.options().schedule;
+  const std::vector<ipv6::Prefix> aliased_before =
+      pipeline.detector().current_aliased();
   const std::uint64_t probes_before = sim.probes_sent();
   const auto report = pipeline.run_day(day);
   const std::uint64_t day_probes = sim.probes_sent() - probes_before;
@@ -100,6 +106,16 @@ inline hitlist::Pipeline::DayReport run_checked_day(hitlist::Pipeline& pipeline,
   CHECK_EQ(fanout_mismatches, 0u);
   const std::vector<ipv6::Prefix> aliased = detector.current_aliased();
   CHECK_EQ(report.aliased_prefixes, aliased.size());
+  // Equal to the sorted set differences, so both lists are strictly
+  // ascending and, as sets, the day's change in the aliased set.
+  const auto& delta = pipeline.last_delta();
+  std::vector<ipv6::Prefix> gained, lost;
+  std::set_difference(aliased.begin(), aliased.end(), aliased_before.begin(),
+                      aliased_before.end(), std::back_inserter(gained));
+  std::set_difference(aliased_before.begin(), aliased_before.end(),
+                      aliased.begin(), aliased.end(), std::back_inserter(lost));
+  CHECK(delta.became_aliased == gained);
+  CHECK(delta.became_clean == lost);
 
   const auto& store = pipeline.store();
   std::vector<std::uint32_t> unaliased;

@@ -160,27 +160,24 @@ void run_tests() {
       apd::ApdOptions options;
       options.window_days = windows[w];
       apd::AliasDetector detector(sim, options);
-      // Each day's transition lists equal, as sets, the change in
-      // current_aliased() across the call. The lists are reused, and
-      // day 0 fills became_aliased, so later days also check that they
-      // come back cleared rather than appended to.
+      detector.admit(prefixes);
+      // Each day's transition lists equal the change in
+      // current_aliased() across the call, ascending. The lists are
+      // reused, and day 0 fills became_aliased, so later days also
+      // check that they come back cleared rather than appended to.
       std::vector<ipv6::Prefix> became_aliased, became_clean;
       std::size_t transition_mismatches = 0;
       for (int day = 0; day < 10; ++day) {
         const std::vector<ipv6::Prefix> before = detector.current_aliased();
-        detector.run_day_on_prefixes(prefixes, day, &became_aliased,
-                                     &became_clean);
+        detector.run_day(day, &became_aliased, &became_clean);
         const std::vector<ipv6::Prefix> after = detector.current_aliased();
         std::vector<ipv6::Prefix> added, dropped;
         std::set_difference(after.begin(), after.end(), before.begin(),
                             before.end(), std::back_inserter(added));
         std::set_difference(before.begin(), before.end(), after.begin(),
                             after.end(), std::back_inserter(dropped));
-        std::vector<ipv6::Prefix> got_aliased = became_aliased;
-        std::vector<ipv6::Prefix> got_clean = became_clean;
-        std::sort(got_aliased.begin(), got_aliased.end());
-        std::sort(got_clean.begin(), got_clean.end());
-        transition_mismatches += got_aliased != added || got_clean != dropped;
+        transition_mismatches +=
+            became_aliased != added || became_clean != dropped;
       }
       CHECK_EQ(transition_mismatches, 0u);
       for (const auto& [prefix, flips] : detector.verdict_flips()) {
@@ -193,22 +190,29 @@ void run_tests() {
     CHECK(unstable_by_window[1] <= unstable_by_window[0]);
     CHECK(unstable_by_window[0] > 0);  // lossy zones do flicker raw
 
-    // Verdict persistence: a prefix missing from later batches keeps
-    // its windowed verdict until it is probed again.
+    // Every run_day probes every candidate, and lists handed in
+    // non-empty come back cleared: with no candidates they stay empty,
+    // and on a fresh detector's first day they hold every aliased
+    // verdict. Admitting the same prefixes again adds no candidate and
+    // keeps every verdict.
     netsim::NetworkSim sim(universe);
     apd::AliasDetector detector(sim, {});
-    const std::vector<ipv6::Prefix> one{prefixes.front()};
-    // Lists handed in non-empty come back cleared, then refilled.
     std::vector<ipv6::Prefix> became_aliased(3), became_clean(2);
-    detector.run_day_on_prefixes(one, 0, &became_aliased, &became_clean);
-    const auto flagged = detector.current_aliased();
-    CHECK(became_aliased == flagged);  // a fresh detector: all new
-    CHECK(became_clean.empty());
-    // Empty batch: nothing ages, and nothing transitions.
-    detector.run_day_on_prefixes({}, 1, &became_aliased, &became_clean);
-    CHECK_EQ(detector.current_aliased().size(), flagged.size());
+    detector.run_day(0, &became_aliased, &became_clean);
     CHECK(became_aliased.empty());
     CHECK(became_clean.empty());
+    detector.admit(prefixes);
+    const std::size_t admitted = detector.candidates().size();
+    became_aliased.resize(3);
+    became_clean.resize(2);
+    detector.run_day(0, &became_aliased, &became_clean);
+    const auto flagged = detector.current_aliased();
+    CHECK(!flagged.empty());
+    CHECK(became_aliased == flagged);  // a fresh detector: all new
+    CHECK(became_clean.empty());
+    detector.admit(prefixes);
+    CHECK_EQ(detector.candidates().size(), admitted);
+    CHECK(detector.current_aliased() == flagged);
   }
 }
 

@@ -25,7 +25,8 @@
 // through to the per-address loop. Each alias carve-out is then hit
 // on purpose: a fan-out address of its aliased parent, with its seed
 // searched until it lands inside the carve-out, must turn that
-// parent's decision silent.
+// parent's decision silent. Last, both entry points count exactly
+// from observability lanes inside and past the counter's cells.
 
 #include <algorithm>
 #include <array>
@@ -35,6 +36,7 @@
 #include "ipv6/prefix.h"
 #include "netsim/network_sim.h"
 #include "netsim/universe.h"
+#include "obs/metrics.h"
 #include "probe_targets.h"
 #include "scan/resolved_table.h"
 #include "test_main.h"
@@ -360,6 +362,30 @@ void run_tests() {
   CHECK_EQ(carveout.paths[kCarveout], carveout.calls);
   std::printf("carve-out hits: %zu zones, %zu batches\n", carveout_zones,
               carveout.calls);
+
+  // The sent counter keeps one cell per writer lane and folds a lane
+  // past its cells onto one of them: from any lane, each call adds
+  // exactly its count, and the sum stays exact.
+  const ipv6::Prefix lane_prefix = universe.zones().front().prefix();
+  const auto lane_cursor = universe.zone_cursor(lane_prefix);
+  const FanoutSeeds lane_seeds = day_seeds(0);
+  const std::uint64_t lanes_start = sim.probes_sent();
+  std::size_t lane_miscounts = 0;
+  std::uint64_t lane_calls = 0;
+  for (const unsigned lane : {0u, 1u, 15u, 16u, 1000u}) {
+    obs::set_lane(lane);
+    std::uint64_t before = sim.probes_sent();
+    sim.all_respond(lane_prefix, lane_cursor, lane_seeds.data(), 16,
+                    net::Protocol::kIcmp, 0);
+    lane_miscounts += sim.probes_sent() - before != 16;
+    before = sim.probes_sent();
+    sim.probe(lane_prefix.address(), net::Protocol::kIcmp, 0);
+    lane_miscounts += sim.probes_sent() - before != 1;
+    ++lane_calls;
+  }
+  obs::set_lane(0);
+  CHECK_EQ(lane_miscounts, 0u);
+  CHECK_EQ(sim.probes_sent() - lanes_start, 17 * lane_calls);
 }
 
 }  // namespace
