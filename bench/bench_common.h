@@ -179,7 +179,7 @@ struct BenchArgs {
                    args.threads);
       std::exit(2);
     }
-    // Cap before ThreadPool spawns: a huge value would die on a
+    // Cap before the Engine spawns: a huge value would die on a
     // std::system_error from std::thread instead of the CLI contract.
     if (args.threads > 1024) {
       std::fprintf(stderr, "--threads must be at most 1024 (got %d)\n",

@@ -1,14 +1,18 @@
 // Microbenchmarks for the hot primitives underneath the measurement
 // pipeline: address parse/format, trie longest-prefix matching,
-// fan-out address generation, entropy fingerprints, k-means, and the
-// end-to-end per-probe cost of the simulated wire.
+// fan-out address generation, entropy fingerprints, k-means, the
+// end-to-end per-probe cost of the simulated wire, and the engine's
+// cost to dispatch one parallel_for sweep.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <chrono>
+#include <thread>
 #include <vector>
 
 #include "apd/apd.h"
+#include "engine/engine.h"
 #include "entropy/clustering.h"
 #include "ipv6/address.h"
 #include "ipv6/prefix.h"
@@ -288,5 +292,38 @@ void BM_ZoneCursor(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ZoneCursor);
+
+// The engine's dispatch cost: one 32-chunk sweep of trivial work at 4
+// threads (8 chunks per thread, the engine's own split), timed from
+// the parallel_for call to its return. Arg 0 runs the sweeps back to
+// back, while the workers are still awake; arg 200 idles 200 us
+// (untimed) before each sweep, long enough for the workers to block,
+// so the sweep also pays their wake-up. The time column is the mean
+// sweep, p50_us the median.
+void BM_EngineSweep(benchmark::State& state) {
+  v6h::engine::Engine engine(v6h::engine::EngineOptions{4});
+  const auto gap = std::chrono::microseconds(state.range(0));
+  std::vector<std::size_t> out(32, 0);
+  std::vector<double> seconds;
+  seconds.reserve(static_cast<std::size_t>(state.max_iterations));
+  auto work = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) out[i] += i;
+  };
+  for (auto _ : state) {
+    if (gap.count() > 0) std::this_thread::sleep_for(gap);
+    const auto start = std::chrono::steady_clock::now();
+    v6h::engine::parallel_for(&engine, out.size(), 1, work);
+    const auto stop = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    seconds.push_back(std::chrono::duration<double>(stop - start).count());
+    state.SetIterationTime(seconds.back());
+  }
+  if (seconds.empty()) return;
+  auto middle = seconds.begin() + static_cast<std::ptrdiff_t>(seconds.size() / 2);
+  std::nth_element(seconds.begin(), middle, seconds.end());
+  state.counters["p50_us"] = *middle * 1e6;
+}
+BENCHMARK(BM_EngineSweep)->Arg(0)->Arg(200)->Iterations(4000)->UseManualTime();
 
 }  // namespace

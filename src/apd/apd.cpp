@@ -77,7 +77,6 @@ void AliasDetector::reserve_for(std::size_t max_addresses) {
   cursors_.reserve(candidates);
   windows_.reserve(candidates);
   flips_.reserve(candidates);
-  outcomes_.reserve(candidates);
   transitions_.reserve(candidates);
 }
 
@@ -118,7 +117,6 @@ void AliasDetector::grow_columns(std::size_t first) {
   cursors_.resize(n);
   windows_.resize(n, SlidingVerdict(options_.window_days));
   flips_.resize(n, 0);
-  outcomes_.resize(n, 0);
   transitions_.resize(n, 0);
   // A candidate's zone-trie path depends on nothing but its prefix, so
   // it descends once, here, and keeps the cursor for every later day.
@@ -128,11 +126,7 @@ void AliasDetector::grow_columns(std::size_t first) {
       cursors_[i] = universe.zone_cursor(candidates_[i]);
     }
   };
-  if (engine_ != nullptr) {
-    engine_->parallel_for(n - first, kDescentGrain, descend_range);
-  } else {
-    descend_range(0, n - first);
-  }
+  engine::parallel_for(engine_, n - first, kDescentGrain, descend_range);
 }
 
 AliasDetector::FanoutSeeds AliasDetector::fanout_seeds(int day) {
@@ -172,7 +166,6 @@ void AliasDetector::run_day(int day, std::vector<Prefix>* became_aliased,
     for (std::size_t i = begin; i < end; ++i) {
       const bool aliased_today =
           probe_prefix(candidates_[i], cursors_[i], seeds, day);
-      outcomes_[i] = aliased_today;
       SlidingVerdict& window = windows_[i];
       // The effective previous verdict — a prefix without one yet is
       // clean, so a first-day aliased verdict is a became_aliased
@@ -183,11 +176,7 @@ void AliasDetector::run_day(int day, std::vector<Prefix>* became_aliased,
       transitions_[i] = window.verdict() != previous;
     }
   };
-  if (engine_ != nullptr) {
-    engine_->parallel_for(n, 4, probe_range);
-  } else {
-    probe_range(0, n);
-  }
+  engine::parallel_for(engine_, n, 4, probe_range);
   for (std::size_t i = 0; i < n; ++i) {
     if (transitions_[i] == 0) continue;
     const bool aliased = windows_[i].verdict();

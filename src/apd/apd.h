@@ -11,12 +11,13 @@
 // A candidate's index is fixed for the detector's life, and its
 // verdict state lives in columns beside it: the zone-trie cursor
 // (taken once, when it becomes a candidate), the Table-4 window (one
-// 64-bit shift register), the flip counter, the raw outcome and a
-// transition flag. The probe chunk that decides candidate i updates
-// column entry i, so an APD day does no hash lookup. Every per-day
-// transient (verdicts, transition lists) is a reusable column or a
-// caller-owned list, so a warm APD day, new prefixes included once
-// table capacity has warmed up, performs zero heap allocations.
+// 64-bit shift register, whose bit 0 is the day's raw outcome), the
+// flip counter and a transition flag. The probe chunk that decides
+// candidate i updates column entry i, so an APD day does no hash
+// lookup. Every per-day transient (verdicts, transition lists) is a
+// reusable column or a caller-owned list, so a warm APD day, new
+// prefixes included once table capacity has warmed up, performs zero
+// heap allocations.
 // tests/test_day_alloc.cpp and the symlint noalloc policy's day-loop
 // roots both enforce that.
 
@@ -83,6 +84,8 @@ class SlidingVerdict {
 
   bool verdict() const { return bits_ != 0; }
   bool has_verdict() const { return has_verdict_; }
+  /// The last update's raw outcome (false before the first update).
+  bool last_outcome() const { return (bits_ & 1) != 0; }
 
  private:
   std::uint64_t bits_ = 0;
@@ -111,7 +114,7 @@ class AliasDetector {
 
   /// The most candidates a hitlist of `max_addresses` unique addresses
   /// can yield, which also bounds every list holding at most one entry
-  /// per candidate (outcomes(), a day's verdict transitions).
+  /// per candidate (the verdict columns, a day's verdict transitions).
   std::size_t candidate_bound(std::size_t max_addresses) const;
 
   /// Count `count` new (already deduplicated) addresses into the
@@ -174,10 +177,10 @@ class AliasDetector {
   void run_day(int day, std::vector<ipv6::Prefix>* became_aliased,
                std::vector<ipv6::Prefix>* became_clean);
 
-  /// The last run_day's raw fan-out verdicts, one byte each (nonzero =
-  /// all 16 answered), aligned with candidates(); a candidate added
-  /// since then reads 0.
-  const std::vector<char>& outcomes() const { return outcomes_; }
+  /// Candidate i's raw fan-out verdict on the last run_day (true = all
+  /// 16 answered), read from bit 0 of its window; a candidate added
+  /// since then reads false. Requires i < candidates().size().
+  bool outcome(std::size_t i) const { return windows_[i].last_outcome(); }
 
   /// Multi-level candidate enumeration from hitlist addresses: the
   /// announced prefix plus /48../112 aggregates holding enough
@@ -242,15 +245,14 @@ class AliasDetector {
   util::FlatMap<ipv6::Prefix, Slot, ipv6::PrefixHash> state_;
   // The candidate columns, all indexed by candidate. They grow only
   // on the coordinator (add_addresses, admit). Between run_day's
-  // dispatch and the pool barrier, the chunk owning index i is the
-  // only writer of windows_[i], flips_[i], outcomes_[i] and
-  // transitions_[i] (nonzero = the windowed verdict changed today);
-  // the coordinator reads them after the barrier.
+  // dispatch and its return barrier, the chunk owning index i is the
+  // only writer of windows_[i], flips_[i] and transitions_[i]
+  // (nonzero = the windowed verdict changed today); the coordinator
+  // reads them after the barrier.
   std::vector<ipv6::Prefix> candidates_;
   std::vector<netsim::Universe::ZoneCursor> cursors_;
   std::vector<SlidingVerdict> windows_;
   std::vector<std::uint32_t> flips_;
-  std::vector<char> outcomes_;
   std::vector<char> transitions_;
   std::size_t aliased_count_ = 0;  // candidates whose verdict is aliased
 };

@@ -115,11 +115,7 @@ Pipeline::DayReport Pipeline::run_day(int day) {
                                   store_.address(row))));
       }
     };
-    if (engine_ != nullptr) {
-      engine_->parallel_for(delta_.new_addresses(), kCoverGrain, cover);
-    } else {
-      cover(0, delta_.new_addresses());
-    }
+    engine::parallel_for(engine_, delta_.new_addresses(), kCoverGrain, cover);
     auto step = [&](const std::vector<ipv6::Prefix>& flipped, int delta) {
       for (const auto& prefix : flipped) {
         members_.clear();

@@ -23,7 +23,7 @@
 // across days (zero steady-state allocations in the scan path);
 // DayReport borrows it. Each day result is read in one place after
 // run_day returns: the scan rows in the frame, the raw APD verdicts
-// in detector().outcomes(), the verdict transitions in last_delta()
+// in detector().outcome(i), the verdict transitions in last_delta()
 // (each list ascending), the aliased set in detector()
 // (current_aliased(), aliased_count(); aliased_cover(address) per
 // address), and each row's aliased count in store().

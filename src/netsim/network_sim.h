@@ -187,8 +187,8 @@ class NetworkSim {
   // Relaxed ordering is sufficient by invariant: these cells are the
   // sim's ONLY mutable state, no other memory is published through
   // them, and nothing branches on intermediate values. Every reader
-  // (probes_sent()) runs after the pool's run() barrier, whose
-  // acquire/release on ThreadPool::remaining_ already orders the
+  // (probes_sent()) runs after the parallel_for return barrier,
+  // whose acquire/release on Engine::remaining_ already orders the
   // adds. Atomicity alone keeps the sum exact; the schedule-
   // independent sum is what keeps output byte-identical across thread
   // counts. The first cell is aligned too, so no cell shares a line

@@ -14,7 +14,7 @@
 //
 // Concurrency discipline: each lane has exactly ONE writer — lane 0
 // is the pipeline coordinator, lanes 1..N-1 the engine pool workers
-// (ThreadPool::worker_loop claims its lane at spawn via set_lane).
+// (Engine::worker_loop claims its lane at spawn via set_lane).
 // Hot-path updates are therefore plain relaxed load/store pairs on
 // the lane's own cells: no locks, no contended read-modify-writes.
 // merge_day runs on the coordinator AFTER the pool barrier of the
@@ -24,7 +24,7 @@
 // Determinism: a metric registered `deterministic` promises that its
 // merged value is a pure function of (universe seed, day sequence) —
 // independent of thread count and scheduling. Coordinator-written
-// pipeline metrics qualify; engine scheduling metrics (task/steal/
+// pipeline metrics qualify; engine scheduling metrics (task/sweep/
 // chunk counts) and every timing metric do not and must be registered
 // with deterministic = false. tests/test_obs.cpp sweeps seeds x
 // thread counts over exactly the deterministic subset.

@@ -30,7 +30,6 @@ Observability::Observability(const ObsOptions& options, unsigned lanes)
   core_.hitlist_rows = registry_.gauge("pipeline.hitlist_rows", true);
   core_.days = registry_.counter("pipeline.days", true);
   core_.pool_tasks = registry_.counter("engine.pool_tasks", false);
-  core_.pool_steals = registry_.counter("engine.pool_steals", false);
   core_.parallel_fors = registry_.counter("engine.parallel_fors", false);
   core_.chunks = registry_.counter("engine.chunks", false);
   core_.trace_dropped = registry_.gauge("obs.trace_dropped", false);
@@ -72,7 +71,6 @@ void Observability::end_day(int day) {
   telemetry_.aliased_prefixes = registry_.day(core_.aliased_prefixes);
   telemetry_.hitlist_rows = registry_.day(core_.hitlist_rows);
   telemetry_.pool_tasks = registry_.day(core_.pool_tasks);
-  telemetry_.pool_steals = registry_.day(core_.pool_steals);
   telemetry_.chunks = registry_.day(core_.chunks);
   telemetry_.trace_dropped = registry_.day(core_.trace_dropped);
 
@@ -83,7 +81,6 @@ void Observability::end_day(int day) {
     ring_.counter("pipeline.probes", end_ns, telemetry_.probes);
     ring_.counter("pipeline.hitlist_rows", end_ns, telemetry_.hitlist_rows);
     ring_.counter("engine.pool_tasks", end_ns, telemetry_.pool_tasks);
-    ring_.counter("engine.pool_steals", end_ns, telemetry_.pool_steals);
   }
   if (sink_ != nullptr) sink_->on_day(telemetry_);
 }

@@ -62,8 +62,7 @@ struct CoreMetrics {
   MetricId hitlist_rows;      // gauge: TargetStore rows
   MetricId days;              // counter: run_day invocations
   // Nondeterministic engine scheduling metrics (per-worker lanes):
-  MetricId pool_tasks;     // counter: tasks executed by pool threads
-  MetricId pool_steals;    // counter: tasks taken from another queue
+  MetricId pool_tasks;     // counter: chunks run, by the thread that ran them
   MetricId parallel_fors;  // counter: parallel sweeps dispatched
   MetricId chunks;         // counter: chunks across all sweeps
   // Nondeterministic day bookkeeping gauge:
@@ -84,6 +83,8 @@ struct DayTelemetry {
   std::uint64_t aliased_prefixes = 0;
   std::uint64_t hitlist_rows = 0;
   std::uint64_t pool_tasks = 0;
+  // Always 0: every thread claims chunks from one shared cursor, so
+  // nothing is stolen. Kept because telemetry consumers read it.
   std::uint64_t pool_steals = 0;
   std::uint64_t chunks = 0;
   std::uint64_t trace_dropped = 0;

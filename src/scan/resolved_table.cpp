@@ -48,11 +48,7 @@ void ResolvedTargetTable::extend(const Address* addrs, std::size_t count,
       extend_hash_scratch_[i] = r.addr_hash;
     }
   };
-  if (engine != nullptr && engine->parallel()) {
-    engine->parallel_for(count, 256, fill);
-  } else {
-    fill(0, count);
-  }
+  engine::parallel_for(engine, count, 256, fill);
 
   // Serial bookkeeping, in row order. Aliased rows park their address
   // hash in the side table (the slot column, unused for them, becomes
@@ -86,11 +82,7 @@ void ResolvedTargetTable::refresh(const Address* addrs, int day,
       store_row(row, sim_->resolve(addrs[row], day));
     }
   };
-  if (engine != nullptr && engine->parallel()) {
-    engine->parallel_for(rotating_rows_.size(), 512, refresh_rows);
-  } else {
-    refresh_rows(0, rotating_rows_.size());
-  }
+  engine::parallel_for(engine, rotating_rows_.size(), 512, refresh_rows);
 }
 
 }  // namespace v6h::scan

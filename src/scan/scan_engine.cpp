@@ -53,28 +53,12 @@ void probe_chunk(netsim::NetworkSim& sim, const ResolvedColumns& cols,
   }
 }
 
-// Engine dispatch, out of line so the scan core stays readable.
-// parallel_for borrows the chunk lambda through util::FunctionRef —
-// no std::function, no capture spill — so the parallel scan path is
-// as allocation-free as the serial one and needs no lint allowlist.
-[[gnu::noinline]] void run_scan_parallel(netsim::NetworkSim& sim,
-                                         engine::Engine& engine,
-                                         const ResolvedColumns& cols,
-                                         const std::uint32_t* rows,
-                                         std::size_t count,
-                                         net::ProtocolMask* masks, int day,
-                                         const ProbeSchedule& schedule) {
-  engine.parallel_for(count, 256, [&](std::size_t begin, std::size_t end) {
-    probe_chunk(sim, cols, rows + begin, masks, end - begin, day, schedule);
-  });
-}
-
 // Shared scan core: probe the frame's admitted rows into its mask
 // column, then run the serial completion pass (tallies).
 // Workers share `masks` without a lock; every probe scatters to its
 // own row and admitted rows are unique, so writes are disjoint and
-// the pool's run() barrier is the release point the serial finish
-// pass reads behind. The two halves carry distinct stage spans
+// the parallel_for return barrier is the release point the serial
+// finish pass reads behind. The two halves carry distinct stage spans
 // ("scan_probe" / "frame_finish") so the trace separates probe cost
 // from result-completion cost.
 void run_scan(netsim::NetworkSim& sim, engine::Engine* engine,
@@ -84,12 +68,10 @@ void run_scan(netsim::NetworkSim& sim, engine::Engine* engine,
     obs::StageSpan span(obs, obs::Stage::kScanProbe);
     const auto& rows = frame->rows();
     net::ProtocolMask* masks = frame->mutable_masks();
-    if (engine != nullptr && engine->parallel()) {
-      run_scan_parallel(sim, *engine, cols, rows.data(), rows.size(), masks,
-                        day, schedule);
-    } else {
-      probe_chunk(sim, cols, rows.data(), masks, rows.size(), day, schedule);
-    }
+    auto probe_rows = [&](std::size_t begin, std::size_t end) {
+      probe_chunk(sim, cols, rows.data() + begin, masks, end - begin, day, schedule);
+    };
+    engine::parallel_for(engine, rows.size(), 256, probe_rows);
   }
   obs::StageSpan span(obs, obs::Stage::kFrameFinish);
   frame->finish();

@@ -194,11 +194,7 @@ const CollectResult& SourceSimulator::collect(
             draw(source, src_key, first + k, day, path_discovery, targets);
       }
     };
-    if (engine_ != nullptr && engine_->parallel()) {
-      engine_->parallel_for(count, 256, fill);
-    } else {
-      fill(0, count);
-    }
+    engine::parallel_for(engine_, count, 256, fill);
     state.drawn = target_count;
     for (const auto& a : drawn_) {
       if (state.seen.insert(a)) {

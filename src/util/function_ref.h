@@ -8,7 +8,7 @@
 // pointers — so every parallel_for inside the day loop paid one
 // allocation per call. A FunctionRef borrows the callable instead;
 // the caller keeps it alive for the duration of the call, which the
-// pool's run() barrier already guarantees.
+// engine's run() barrier already guarantees.
 
 #include <type_traits>
 #include <utility>

@@ -7,15 +7,14 @@
 //  - The APD batch, detector().candidates(), equals the full recount
 //    AliasDetector::candidate_prefixes(targets()), in crossing order
 //    (the detector's incremental per-prefix counts must never drift,
-//    and a candidate's index never moves), and the raw verdict column
-//    detector().outcomes() is aligned with it.
+//    and a candidate's index never moves).
 //  - Each candidate's cached cursor, detector().cursors()[i], equals
 //    a fresh universe().zone_cursor(candidate i) field by field. A
 //    verdict check alone would pass a cursor taken higher up the
 //    trie: it resolves the same zones but walks a longer path.
-//  - Raw verdict i is "aliased" iff all 16 of candidate i's fan-out
-//    addresses answer NetworkSim::probe at seq = nybble, on the
-//    reference NetworkSim below.
+//  - Raw verdict i, detector().outcome(i), is "aliased" iff all 16 of
+//    candidate i's fan-out addresses answer NetworkSim::probe at
+//    seq = nybble, on the reference NetworkSim below.
 //  - report.aliased_prefixes equals current_aliased().size().
 //  - The transition lists in last_delta() equal what current_aliased()
 //    gained and lost across the day, in strictly ascending order.
@@ -75,12 +74,9 @@ inline hitlist::Pipeline::DayReport run_checked_day(hitlist::Pipeline& pipeline,
   const auto& detector = pipeline.detector();
   const auto& candidates = detector.candidates();
   const auto& cursors = detector.cursors();
-  const auto& outcomes = detector.outcomes();
   CHECK(candidates == detector.candidate_prefixes(pipeline.targets()));
   CHECK_EQ(cursors.size(), candidates.size());
-  CHECK_EQ(outcomes.size(), candidates.size());
-  const std::size_t batch =
-      std::min({candidates.size(), cursors.size(), outcomes.size()});
+  const std::size_t batch = std::min(candidates.size(), cursors.size());
   std::size_t cursor_mismatches = 0;
   for (std::size_t i = 0; i < batch; ++i) {
     const auto fresh = reference.universe().zone_cursor(candidates[i]);
@@ -101,7 +97,7 @@ inline hitlist::Pipeline::DayReport run_checked_day(hitlist::Pipeline& pipeline,
           nybble, util::hash64(day, nybble, 0xA9D));
       answered += reference.probe(target, apd_protocol, day, nybble).responded;
     }
-    fanout_mismatches += (outcomes[i] != 0) != (answered == 16);
+    fanout_mismatches += detector.outcome(i) != (answered == 16);
   }
   CHECK_EQ(fanout_mismatches, 0u);
   const std::vector<ipv6::Prefix> aliased = detector.current_aliased();
@@ -152,7 +148,7 @@ inline hitlist::Pipeline::DayReport run_checked_day(hitlist::Pipeline& pipeline,
     mask_mismatches += frame.mask_of_row(row) != expected;
   }
   CHECK_EQ(mask_mismatches, 0u);
-  CHECK_EQ(day_probes, 16 * outcomes.size() +
+  CHECK_EQ(day_probes, 16 * candidates.size() +
                            (reference.probes_sent() - reference_before));
   return report;
 }

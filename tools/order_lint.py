@@ -18,11 +18,11 @@ bug at the source level:
                         "ordered", but the order is the allocator's
                         address layout (ASLR), not the data's.
   fp-accum-parallel     floating-point accumulation (+=, -=, *=)
-                        inside an engine parallel_for/parallel_chunks
-                        body: float addition is not associative, so
-                        the sum depends on chunk boundaries and
-                        thread count. Integer accumulation and
-                        disjoint index-addressed writes stay legal.
+                        inside an engine parallel_for body: float
+                        addition is not associative, so the sum
+                        depends on chunk boundaries and thread
+                        count. Integer accumulation and disjoint
+                        index-addressed writes stay legal.
 
 Allowlisting is *per site and in the source*: a flagged line is
 accepted only if it (or one of the two lines above it) carries a
@@ -354,7 +354,7 @@ def lint_text(path, text, code, idents, names):
     fp_vars = {m.group(1) for m in re.finditer(
         r"\b(?:double|float)\b\s*&?\s*(\w+)\s*[;=,)(]", code)
         if m.group(1) not in CPP_KEYWORDS}
-    for m in re.finditer(r"\b(?:parallel_for|parallel_chunks)\s*\(", code):
+    for m in re.finditer(r"\bparallel_for\s*\(", code):
         close = skip_balanced(code, m.end() - 1, "(", ")")
         extent = code[m.end():close - 1]
         base = m.end()

@@ -74,8 +74,8 @@ declared next to the roots in CMakeLists with a justification comment
 nodeterminism.
 
 Known limits: indirect calls are not walked. Two kinds remain under
-the day roots: the util::FunctionRef thunks of Engine::parallel_for
-(each chunk body is also a direct fn(0, n) call on the serial branch,
+the day roots: the util::FunctionRef thunks of engine::parallel_for
+(each chunk body is also a direct fn(0, n) call on the inline branch,
 which the walk does follow), and the TelemetrySink::on_day virtual
 dispatch, which runs only with an Observability attached — sinks are
 consumer-owned code outside the library's contract. Anonymous-namespace
