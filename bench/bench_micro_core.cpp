@@ -182,7 +182,7 @@ unsigned answered_fanout(v6h::netsim::NetworkSim& sim, const Prefix& prefix,
 }
 
 // The first truly aliased prefix; in this universe its cursor settles
-// and its zone has no loss, so the decision is read from the zone
+// and its zone has no loss, so it is planned always and decided
 // without building an address.
 const Prefix* aliased_prefix(v6h::netsim::NetworkSim&,
                              const v6h::netsim::Universe& universe,
@@ -191,7 +191,7 @@ const Prefix* aliased_prefix(v6h::netsim::NetworkSim&,
 }
 
 // The first honest zone prefix none of whose 16 day-0 fan-out
-// addresses answer: the common case, where the decision stops at the
+// addresses answer: the common case, where the walk stops at the
 // first address. Found with probe(), outside the timed loop.
 const Prefix* silent_prefix(v6h::netsim::NetworkSim& sim,
                             const v6h::netsim::Universe& universe,
@@ -205,14 +205,28 @@ const Prefix* silent_prefix(v6h::netsim::NetworkSim& sim,
 }
 
 // The first aliased zone prefix with loss all of whose 16 day-0
-// fan-out addresses answer: each address is built and rolls its loss,
-// the per-address cost a settled loss-free prefix no longer pays.
+// fan-out addresses answer: the lanes build every address and roll
+// its loss, the per-address cost a loss-free prefix never pays.
 // Found with probe(), outside the timed loop.
 const Prefix* lossy_prefix(v6h::netsim::NetworkSim& sim,
                            const v6h::netsim::Universe& universe,
                            const v6h::apd::AliasDetector::FanoutSeeds& seeds) {
   for (const auto& zone : universe.zones()) {
     if (!zone.config().aliased || zone.config().loss <= 0.0) continue;
+    const Prefix& prefix = zone.config().prefix;
+    if (answered_fanout(sim, prefix, seeds) == 16) return &prefix;
+  }
+  return nullptr;
+}
+
+// The first aliased zone prefix with a carve-out all of whose 16 day-0
+// fan-out addresses answer: the lanes also test every address against
+// the carve-out. Found with probe(), outside the timed loop.
+const Prefix* carveout_prefix(v6h::netsim::NetworkSim& sim,
+                              const v6h::netsim::Universe& universe,
+                              const v6h::apd::AliasDetector::FanoutSeeds& seeds) {
+  for (const auto& zone : universe.zones()) {
+    if (!zone.config().aliased || !zone.config().carveout) continue;
     const Prefix& prefix = zone.config().prefix;
     if (answered_fanout(sim, prefix, seeds) == 16) return &prefix;
   }
@@ -234,31 +248,33 @@ using PickPrefix = const Prefix* (*)(v6h::netsim::NetworkSim&,
                                      const v6h::netsim::Universe&,
                                      const v6h::apd::AliasDetector::FanoutSeeds&);
 
-// One candidate's fan-out decision on each path: a truly aliased
-// prefix, decided from its zone; a silent one, which stops at the
-// first address; and a lossy one that answers in full, which builds
-// all 16. The detector keeps each candidate's zone-trie cursor, so
-// the cursor is descended outside the timed loop, as it is outside
-// the day loop.
+// One candidate's fan-out decision by plan kind: a truly aliased
+// prefix, planned always; a silent one, which walks to its first
+// address; and a lossy one and one with a carve-out, both answering in
+// full, which run all 16 lanes. The detector plans each candidate once
+// and derives the day's seeds and loss salts once, so both stay
+// outside the timed loop, as they stay outside the day loop.
 void BM_ApdPrefixTest(benchmark::State& state, PickPrefix pick) {
   const v6h::netsim::Universe& universe = apd_universe();
   v6h::netsim::NetworkSim sim(universe);
-  v6h::apd::AliasDetector detector(sim);
   const auto seeds = v6h::apd::AliasDetector::fanout_seeds(0);
   const Prefix* prefix = pick(sim, universe, seeds);
   if (prefix == nullptr) {
     state.SkipWithError("no zone prefix of this kind");
     return;
   }
-  const auto cursor = universe.zone_cursor(*prefix);
+  const v6h::netsim::FanoutDay day(seeds, 0, v6h::net::Protocol::kIcmp);
+  const v6h::netsim::FanoutPlan plan =
+      sim.plan_fanout(*prefix, v6h::net::Protocol::kIcmp);
   for (auto _ : state) {
-    const bool aliased_today = detector.probe_prefix(*prefix, cursor, seeds, 0);
+    const bool aliased_today = sim.decide_fanout(day, *prefix, plan);
     benchmark::DoNotOptimize(aliased_today);
   }
 }
 BENCHMARK_CAPTURE(BM_ApdPrefixTest, aliased, aliased_prefix);
 BENCHMARK_CAPTURE(BM_ApdPrefixTest, silent, silent_prefix);
 BENCHMARK_CAPTURE(BM_ApdPrefixTest, lossy, lossy_prefix);
+BENCHMARK_CAPTURE(BM_ApdPrefixTest, carveout, carveout_prefix);
 
 // The zone-trie descent alone: what each candidate-day saves now that
 // a candidate descends once, when it crosses min_targets, instead of

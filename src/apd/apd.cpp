@@ -42,10 +42,10 @@ std::size_t tracked_bound(std::size_t max_addresses) {
   return max_addresses * 4 + 64;
 }
 
-// Descents per engine chunk. A few crossings on a warm day stay
-// inline (parallel_for runs a range up to one grain on the caller);
-// a first day's thousands spread over the workers.
-constexpr std::size_t kDescentGrain = 256;
+// Plans per engine chunk. A few crossings on a warm day stay inline
+// (parallel_for runs a range up to one grain on the caller); a first
+// day's thousands spread over the workers.
+constexpr std::size_t kPlanGrain = 256;
 
 }  // namespace
 
@@ -74,7 +74,7 @@ void AliasDetector::reserve_for(std::size_t max_addresses) {
   const std::size_t candidates = candidate_bound(max_addresses);
   state_.reserve(tracked_bound(max_addresses));
   candidates_.reserve(candidates);
-  cursors_.reserve(candidates);
+  plans_.reserve(candidates);
   windows_.reserve(candidates);
   flips_.reserve(candidates);
   transitions_.reserve(candidates);
@@ -114,19 +114,18 @@ void AliasDetector::admit(const std::vector<Prefix>& prefixes) {
 
 void AliasDetector::grow_columns(std::size_t first) {
   const std::size_t n = candidates_.size();
-  cursors_.resize(n);
+  plans_.resize(n);
   windows_.resize(n, SlidingVerdict(options_.window_days));
   flips_.resize(n, 0);
   transitions_.resize(n, 0);
-  // A candidate's zone-trie path depends on nothing but its prefix, so
-  // it descends once, here, and keeps the cursor for every later day.
-  const netsim::Universe& universe = sim_->universe();
-  auto descend_range = [&](std::size_t begin, std::size_t end) {
+  // A candidate's plan depends on nothing but its prefix and the
+  // protocol, so it is made once, here, and kept for every later day.
+  auto plan_range = [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = first + begin; i < first + end; ++i) {
-      cursors_[i] = universe.zone_cursor(candidates_[i]);
+      plans_[i] = sim_->plan_fanout(candidates_[i], options_.protocol);
     }
   };
-  engine::parallel_for(engine_, n - first, kDescentGrain, descend_range);
+  engine::parallel_for(engine_, n - first, kPlanGrain, plan_range);
 }
 
 AliasDetector::FanoutSeeds AliasDetector::fanout_seeds(int day) {
@@ -138,17 +137,6 @@ AliasDetector::FanoutSeeds AliasDetector::fanout_seeds(int day) {
   return seeds;
 }
 
-bool AliasDetector::probe_prefix(const Prefix& prefix,
-                                 const netsim::Universe::ZoneCursor& cursor,
-                                 const FanoutSeeds& seeds, int day) const {
-  // Fan-out addresses are salted per day, so only the zone-trie path
-  // to the prefix carries across days, and the caller holds it. Within
-  // a day the 16 addresses resume that walk; address n goes out at
-  // seq n.
-  return sim_->all_respond(prefix, cursor, seeds.data(), seeds.size(),
-                           options_.protocol, day);
-}
-
 void AliasDetector::run_day(int day, std::vector<Prefix>* became_aliased,
                             std::vector<Prefix>* became_clean) {
   // Covers the fan-out probes AND the serial transition pass; purely
@@ -158,14 +146,16 @@ void AliasDetector::run_day(int day, std::vector<Prefix>* became_aliased,
   became_aliased->clear();
   became_clean->clear();
   const std::size_t n = candidates_.size();
-  const FanoutSeeds seeds = fanout_seeds(day);
-  // Each chunk decides its candidates and updates their verdict
-  // columns: disjoint index-addressed writes, so the result does not
-  // depend on scheduling.
+  const netsim::FanoutDay fanout(fanout_seeds(day), day, options_.protocol);
+  // Each chunk decides its candidates in one call, which leaves the raw
+  // verdicts in transitions_, and then turns each into its window
+  // update and transition flag: disjoint index-addressed writes, so
+  // the result does not depend on scheduling.
   auto probe_range = [&](std::size_t begin, std::size_t end) {
+    sim_->decide_fanouts(fanout, &candidates_[begin], &plans_[begin],
+                         end - begin, &transitions_[begin]);
     for (std::size_t i = begin; i < end; ++i) {
-      const bool aliased_today =
-          probe_prefix(candidates_[i], cursors_[i], seeds, day);
+      const bool aliased_today = transitions_[i] != 0;
       SlidingVerdict& window = windows_[i];
       // The effective previous verdict — a prefix without one yet is
       // clean, so a first-day aliased verdict is a became_aliased

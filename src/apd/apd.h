@@ -9,20 +9,21 @@
 // AliasDetector keeps one util::FlatMap slot per counted prefix (its
 // hitlist count and, once it is a candidate, its candidate index).
 // A candidate's index is fixed for the detector's life, and its
-// verdict state lives in columns beside it: the zone-trie cursor
-// (taken once, when it becomes a candidate), the Table-4 window (one
-// 64-bit shift register, whose bit 0 is the day's raw outcome), the
-// flip counter and a transition flag. The probe chunk that decides
-// candidate i updates column entry i, so an APD day does no hash
-// lookup. Every per-day transient (verdicts, transition lists) is a
-// reusable column or a caller-owned list, so a warm APD day, new
-// prefixes included once table capacity has warmed up, performs zero
-// heap allocations.
+// verdict state lives in columns beside it: the fan-out plan (taken
+// once, when it becomes a candidate: the zone-trie cursor and what
+// its settled zone allows, NetworkSim::plan_fanout), the Table-4
+// window (one 64-bit shift register, whose bit 0 is the day's raw
+// outcome), the flip counter and a transition flag. The probe chunk
+// that decides candidates [begin, end) makes one
+// NetworkSim::decide_fanouts call for them and updates their column
+// entries, so an APD day does no hash lookup. Every per-day transient
+// (verdicts, transition lists) is a reusable column or a caller-owned
+// list, so a warm APD day, new prefixes included once table capacity
+// has warmed up, performs zero heap allocations.
 // tests/test_day_alloc.cpp and the symlint noalloc policy's day-loop
 // roots both enforce that.
 
 #include <algorithm>
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -121,7 +122,7 @@ class AliasDetector {
   /// per-prefix table. A prefix is appended to candidates() on the
   /// increment that brings its count to min_targets, by address and
   /// then in level order (/48, /64, /96, /112, announcement), and
-  /// descends the zone trie then, once (in index chunks on the engine
+  /// plans its fan-out then, once (in index chunks on the engine
   /// workers when one is attached and the crossings are many, as on a
   /// first day). Counts only grow, so candidates() always equals
   /// candidate_prefixes() over every address counted so far, in the
@@ -129,8 +130,8 @@ class AliasDetector {
   void add_addresses(const ipv6::Address* addrs, std::size_t count);
 
   /// Make an explicit list into candidates (bench_table4, bench_fig5):
-  /// each prefix without a candidate index is appended and descends
-  /// exactly as a crossing in add_addresses does; its count is left
+  /// each prefix without a candidate index is appended and planned
+  /// exactly as a crossing in add_addresses is; its count is left
   /// alone. A prefix that is already a candidate is skipped.
   void admit(const std::vector<ipv6::Prefix>& prefixes);
 
@@ -138,38 +139,26 @@ class AliasDetector {
   /// batch. Candidate i keeps index i for the detector's life.
   const std::vector<ipv6::Prefix>& candidates() const { return candidates_; }
 
-  /// Each candidate's zone-trie cursor, aligned with candidates():
-  /// cursors()[i] equals universe().zone_cursor(candidates()[i]). The
-  /// zone trie never changes after the universe is built, so a cursor
-  /// stays valid for the detector's life, and a settled one (the
-  /// whole candidate in one zone or in none) lets all_respond decide
-  /// a loss-free aliased or unrouted candidate without building its
-  /// 16 addresses, every day.
-  const std::vector<netsim::Universe::ZoneCursor>& cursors() const {
-    return cursors_;
-  }
+  /// Each candidate's fan-out plan, aligned with candidates():
+  /// plans()[i] equals sim.plan_fanout(candidates()[i],
+  /// options().protocol). A plan depends on nothing but the prefix,
+  /// the protocol and the universe, which never changes once built, so
+  /// it stays valid for the detector's life: every day decides a never
+  /// or always candidate without building an address, and resumes the
+  /// zone walk at the plan's cursor for the rest.
+  const std::vector<netsim::FanoutPlan>& plans() const { return plans_; }
 
   /// The 16 fan-out address seeds of `day`, one per nybble. They do
   /// not depend on the prefix, so each day derives them once, on the
   /// calling thread.
-  using FanoutSeeds = std::array<std::uint64_t, 16>;
+  using FanoutSeeds = netsim::FanoutDay::Seeds;
   static FanoutSeeds fanout_seeds(int day);
 
-  /// One candidate's fan-out: the raw verdict (all 16 answered, before
-  /// the window) of one NetworkSim::all_respond decision over its 16
-  /// addresses under `prefix`, resuming the zone walk at `cursor`
-  /// (universe().zone_cursor(prefix)). It stops evaluating at the
-  /// first silent address but counts all 16 probes. Reads no mutable
-  /// detector state, so engine workers run it concurrently.
-  bool probe_prefix(const ipv6::Prefix& prefix,
-                    const netsim::Universe::ZoneCursor& cursor,
-                    const FanoutSeeds& seeds, int day) const;
-
-  /// The APD day over candidates(), each decided from its cached
-  /// cursor. The chunk that decides candidate i (on the engine
-  /// workers when one is attached) also updates its window and flip
-  /// count. `became_aliased` and `became_clean` are cleared and
-  /// refilled, ascending, with the verdict transitions relative to the
+  /// The APD day over candidates(), each decided from its plan. The
+  /// chunk that decides candidate i (on the engine workers when one is
+  /// attached) also updates its window and flip count.
+  /// `became_aliased` and `became_clean` are cleared and refilled,
+  /// ascending, with the verdict transitions relative to the
   /// effective previous verdict (a never-probed prefix counts as
   /// clean): the +1 and -1 steps of the pipeline's per-row aliased
   /// counts. Both lists are caller-owned and keep their capacity, so a
@@ -228,7 +217,7 @@ class AliasDetector {
   void append(const ipv6::Prefix& prefix, Slot& slot);
 
   // Grow every other column to candidates_.size(), the new entries
-  // [first, size) fresh, and descend the new candidates' cursors.
+  // [first, size) fresh, and plan the new candidates' fan-outs.
   void grow_columns(std::size_t first);
 
   // min_targets 0 counts as 1: a fresh entry starts at 0, which would
@@ -246,14 +235,14 @@ class AliasDetector {
   // The candidate columns, all indexed by candidate. They grow only
   // on the coordinator (add_addresses, admit). Between run_day's
   // dispatch and its return barrier, the chunk owning index i is the
-  // only writer of windows_[i], flips_[i] and transitions_[i]
-  // (nonzero = the windowed verdict changed today); the coordinator
-  // reads them after the barrier.
+  // only writer of windows_[i], flips_[i] and transitions_[i] (first
+  // the raw verdict, then nonzero = the windowed verdict changed
+  // today); the coordinator reads them after the barrier.
   std::vector<ipv6::Prefix> candidates_;
-  std::vector<netsim::Universe::ZoneCursor> cursors_;
+  std::vector<netsim::FanoutPlan> plans_;
   std::vector<SlidingVerdict> windows_;
   std::vector<std::uint32_t> flips_;
-  std::vector<char> transitions_;
+  std::vector<std::uint8_t> transitions_;
   std::size_t aliased_count_ = 0;  // candidates whose verdict is aliased
 };
 

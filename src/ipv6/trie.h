@@ -37,6 +37,13 @@ class PrefixTrie {
     }
   }
 
+  /// Release the node and value vectors' growth slack. The trie is
+  /// insert-only, so its owner calls this once, after the last insert.
+  void shrink_to_fit() {
+    nodes_.shrink_to_fit();
+    values_.shrink_to_fit();
+  }
+
   /// Where a walk stands after reading a prefix's bits: the node at
   /// `depth` (-1 when nothing below it can change the match) and the
   /// value of the longest match above it.

@@ -75,8 +75,8 @@ net::ProtocolMask host_service_mask(const Zone& zone, std::uint32_t slot) {
 // Does an answer from aliased space need a roll per address: the
 // loss roll, or the flaky-QUIC roll on UDP/443? Without one, every
 // aliased address offering `protocol` answers at every (day, seq):
-// resolved_responds returns true untouched, and all_respond decides a
-// settled aliased prefix from its zone alone.
+// resolved_responds returns true untouched, and plan_fanout plans a
+// settled aliased prefix that no carve-out reaches as always.
 bool aliased_rolls(const ZoneProbeParams& zp, net::Protocol protocol) {
   return zp.loss > 0.0 || (zp.quic_flaky && protocol == net::Protocol::kUdp443);
 }
@@ -117,7 +117,7 @@ bool resolved_responds(const ZoneProbeParams& zp, std::uint8_t flags,
 }
 
 // Does `a`, inside `zone`, answer `protocol` at (day, seq)? The
-// responded predicate probe() and all_respond() share, plus what
+// responded predicate probe() and the fan-out walk share, plus what
 // probe()'s machine image keys on once it does.
 struct Answer {
   bool responded = false;
@@ -267,40 +267,98 @@ ProbeResult NetworkSim::probe(const Address& a, net::Protocol protocol, int day,
   return out;
 }
 
-bool NetworkSim::all_respond(const ipv6::Prefix& prefix,
-                             const Universe::ZoneCursor& cursor,
-                             const std::uint64_t* seeds, unsigned count,
-                             net::Protocol protocol, int day) {
-  count_probes(count);
+FanoutDay::FanoutDay(const Seeds& seeds, int day, net::Protocol protocol)
+    : seeds(seeds), day(day), protocol(protocol) {
+  // resolved_responds' per-probe loss salt, at seq n.
+  for (unsigned n = 0; n < kAddresses; ++n) {
+    loss_salts[n] = hash64(day, n, net::index_of(protocol));
+  }
+}
+
+FanoutPlan NetworkSim::plan_fanout(const ipv6::Prefix& prefix,
+                                   net::Protocol protocol) const {
+  using Kind = FanoutPlan::Kind;
+  FanoutPlan plan;
+  plan.cursor = universe_->zone_cursor(prefix);
+  // Unsettled: a zone lies strictly inside, so addresses differ in zone.
+  if (plan.cursor.node >= 0) return plan;
+  // Settled: every address inside the prefix lies in this zone, or in
+  // none.
+  const Zone* zone = universe_->zone_at(plan.cursor, prefix.address());
+  if (zone == nullptr) {
+    plan.kind = Kind::kNever;
+    return plan;
+  }
+  const ZoneConfig& config = zone->config();
+  if (!config.aliased) return plan;
+  // Aliased space not serving the protocol is silent, and a carve-out
+  // address (honest space, where an aliased zone inverts no slot) is
+  // silent too.
+  if (!net::responds_to(config.machine_service, protocol)) {
+    plan.kind = Kind::kNever;
+    return plan;
+  }
+  const ZoneProbeParams& zp =
+      zone_params_[static_cast<std::size_t>(zone - universe_->zones().data())];
+  if (zp.quic_flaky && protocol == net::Protocol::kUdp443) return plan;
+  const bool carveout_reaches =
+      config.carveout && (config.carveout->contains(prefix) ||
+                          prefix.contains(*config.carveout));
+  plan.kind = aliased_rolls(zp, protocol) || carveout_reaches ? Kind::kLanes
+                                                               : Kind::kAlways;
+  return plan;
+}
+
+bool NetworkSim::decide_fanout(const FanoutDay& day, const ipv6::Prefix& prefix,
+                               const FanoutPlan& plan) const {
+  switch (plan.kind) {
+    case FanoutPlan::Kind::kNever:
+      return false;
+    case FanoutPlan::Kind::kAlways:
+      return true;
+    case FanoutPlan::Kind::kLanes: {
+      const Zone* zone = universe_->zone_at(plan.cursor, prefix.address());
+      const auto& carveout = zone->config().carveout;
+      return fanout_lanes(
+          prefix, carveout ? &*carveout : nullptr,
+          zone_kernel_[static_cast<std::size_t>(zone - universe_->zones().data())],
+          day.seeds.data(), day.loss_salts.data());
+    }
+    case FanoutPlan::Kind::kWalk:
+      break;
+  }
+  return walk_fanout(day, prefix, plan.cursor);
+}
+
+bool NetworkSim::walk_fanout(const FanoutDay& day, const ipv6::Prefix& prefix,
+                             const Universe::ZoneCursor& cursor) const {
+  // A settled cursor keeps its zone for every address; an unsettled
+  // one resumes the walk below the prefix per address.
+  const bool settled = cursor.node < 0;
   const Zone* zone = nullptr;
   const ZoneProbeParams* zp = nullptr;
-  const bool settled = cursor.node < 0 && count != 0;
-  if (settled) {
-    // Settled walk: every address inside the prefix lies in one zone,
-    // or in none, so the loop below keeps this zone. Aliased space no
-    // carve-out reaches, answering without a roll per address, answers
-    // alike at every address.
-    zone = universe_->zone_at(cursor, prefix.address());
-    if (zone == nullptr) return false;
-    const ZoneConfig& config = zone->config();
-    zp = &zone_params_[static_cast<std::size_t>(zone - universe_->zones().data())];
-    if (config.aliased &&
-        !(config.carveout && (config.carveout->contains(prefix) ||
-                              prefix.contains(*config.carveout))) &&
-        !aliased_rolls(*zp, protocol)) {
-      return net::responds_to(config.machine_service, protocol);
-    }
-  }
-  for (unsigned n = 0; n < count; ++n) {
-    const Address a = prefix.seeded_fanout_address(n, seeds[n]);
-    if (!settled) {
+  for (unsigned n = 0; n < FanoutDay::kAddresses; ++n) {
+    const Address a = prefix.seeded_fanout_address(n, day.seeds[n]);
+    if (!settled || zone == nullptr) {
       zone = universe_->zone_at(cursor, a);
       if (zone == nullptr) return false;
       zp = &zone_params_[static_cast<std::size_t>(zone - universe_->zones().data())];
     }
-    if (!answer_of(*zone, *zp, a, protocol, day, n).responded) return false;
+    if (!answer_of(*zone, *zp, a, day.protocol, day.day, n).responded) {
+      return false;
+    }
   }
   return true;
+}
+
+void NetworkSim::decide_fanouts(const FanoutDay& day,
+                                const ipv6::Prefix* prefixes,
+                                const FanoutPlan* plans, std::size_t count,
+                                std::uint8_t* verdicts) {
+  count_probes(FanoutDay::kAddresses * count);
+  for (std::size_t i = 0; i < count; ++i) {
+    verdicts[i] = decide_fanout(day, prefixes[i], plans[i]);
+  }
 }
 
 void NetworkSim::probe_resolved_mask(const ResolvedColumns& t,

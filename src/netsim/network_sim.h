@@ -9,18 +9,18 @@
 //    inversion, service mask) on every call and, when it answers,
 //    derive its machine image. The model's definition: the
 //    fingerprint analyses and the test oracles use it.
-//  - all_respond(): the APD fan-out decision. Do all of a prefix's
-//    fan-out addresses answer, address n at seq n? The caller hands
-//    in the prefix's zone-trie cursor (Universe::zone_cursor), which
-//    depends on nothing but the prefix, so a candidate descends once
-//    in its life, not once a day. A settled cursor (the whole prefix
-//    in one zone or in none) whose zone is unrouted space, or aliased
-//    space that no carve-out reaches and that rolls nothing per
-//    address, decides from the zone without building an address.
-//    Otherwise each address walks only the bits below the prefix and
-//    evaluates the responded predicate only (no machine image).
-//    Address n is built only once addresses 0..n-1 answered, so the
-//    first silent one settles it. One add to the calling lane's
+//  - plan_fanout() + decide_fanouts(): the APD fan-out decision. Do
+//    all 16 of a prefix's fan-out addresses answer, address n at seq
+//    n? A candidate plans once in its life: its zone-trie cursor
+//    (Universe::zone_cursor) and what its settled zone allows
+//    (FanoutPlan::Kind). Settled unrouted space, or aliased space not
+//    serving the protocol, is never answered; loss-free aliased space
+//    that no carve-out reaches always is; other settled aliased space
+//    builds its 16 addresses and loss rolls as integer lanes
+//    (fanout_lanes in probe_kernel.h). Only honest, unsettled and
+//    flaky-QUIC candidates walk: address n is built, below the prefix
+//    only, once addresses 0..n-1 answered, so the first silent one
+//    settles it. One add per run of candidates to the calling lane's
 //    counter cell covers every probe the measurement sends. The
 //    decision equals "every probe().responded"
 //    (tests/test_probe_kernel.cpp, and every day of
@@ -112,6 +112,36 @@ struct ZoneProbeParams {
   bool nodes = false;  // Bitnodes-style permanent churn applies
 };
 
+/// How one APD candidate's fan-out is decided, fixed when it becomes a
+/// candidate (NetworkSim::plan_fanout): the zone-trie cursor its
+/// addresses resume from, and what the settled zone allows.
+struct FanoutPlan {
+  enum class Kind : std::uint8_t {
+    kWalk,    // honest, unsettled, or flaky QUIC probed on UDP/443
+    kNever,   // unrouted, or aliased space not serving the protocol
+    kAlways,  // loss-free aliased space that no carve-out reaches
+    kLanes,   // aliased space with loss, or that a carve-out reaches
+  };
+  Universe::ZoneCursor cursor;
+  Kind kind = Kind::kWalk;
+};
+
+/// What every APD fan-out decision of one day shares. Address n under
+/// a prefix is prefix.seeded_fanout_address(n, seeds[n]), probed at
+/// seq n; in lossy aliased space it rolls its loss against
+/// loss_salts[n] = hash64(day, n, protocol).
+struct FanoutDay {
+  static constexpr unsigned kAddresses = 16;
+  using Seeds = std::array<std::uint64_t, kAddresses>;
+
+  FanoutDay(const Seeds& seeds, int day, net::Protocol protocol);
+
+  Seeds seeds;
+  Seeds loss_salts{};
+  int day;
+  net::Protocol protocol;
+};
+
 class NetworkSim {
  public:
   explicit NetworkSim(const Universe& universe);
@@ -124,24 +154,31 @@ class NetworkSim {
   ProbeResult probe(const ipv6::Address& a, net::Protocol protocol, int day,
                     unsigned seq = 0);
 
-  /// APD fan-out decision: whether every fan-out address n < count
-  /// of `prefix` (prefix.seeded_fanout_address(n, seeds[n])) answers
-  /// `protocol` at `day`, address n at seq n. `cursor` must equal
-  /// universe().zone_cursor(prefix): each address resumes the zone
-  /// walk there, so the caller decides how often to descend. Equals
-  /// "all of probe(address n, protocol, day, n).responded", but
-  /// derives no machine image and stops at the first silent or
-  /// unrouted address. A settled cursor decides from the zone alone,
-  /// building no address, when the prefix is unrouted (false), or
-  /// aliased with no carve-out intersecting it in a zone with no loss
-  /// and no flaky QUIC on a UDP/443 probe (whether the zone serves
-  /// `protocol`). Counts all `count` probes: the measurement sends
-  /// them, only the simulation stops evaluating. Pure apart from that
-  /// one counter add, so engine workers may call it concurrently.
-  bool all_respond(const ipv6::Prefix& prefix,
-                   const Universe::ZoneCursor& cursor,
-                   const std::uint64_t* seeds, unsigned count,
-                   net::Protocol protocol, int day);
+  /// The APD fan-out plan of `prefix` probed with `protocol`: its
+  /// zone-trie cursor and, from the zone a settled cursor names, its
+  /// kind. Depends on nothing but the prefix, the protocol and the
+  /// universe, so a candidate plans once in its life. Pure.
+  FanoutPlan plan_fanout(const ipv6::Prefix& prefix,
+                         net::Protocol protocol) const;
+
+  /// One candidate's fan-out decision: whether all 16 addresses of
+  /// `day` under `prefix` answer, i.e. "all of probe(address n,
+  /// day.protocol, day.day, n).responded". `plan` must equal
+  /// plan_fanout(prefix, day.protocol). Derives no machine image,
+  /// builds no address for a never or always plan, and walks a walk
+  /// plan only up to its first silent address. Counts nothing and
+  /// reads no mutable state, so engine workers call it concurrently.
+  bool decide_fanout(const FanoutDay& day, const ipv6::Prefix& prefix,
+                     const FanoutPlan& plan) const;
+
+  /// decide_fanout for each of candidates [0, count): verdicts[i] = 1
+  /// when all 16 of candidate i's addresses answer, else 0. One add
+  /// of 16 * count to the calling lane's counter cell counts every
+  /// probe: the measurement sends them all, only the simulation stops
+  /// evaluating. Engine workers call it concurrently on disjoint runs.
+  void decide_fanouts(const FanoutDay& day, const ipv6::Prefix* prefixes,
+                      const FanoutPlan* plans, std::size_t count,
+                      std::uint8_t* verdicts);
 
   /// Resolve `a` once at `day`'s rotation epoch. Pure and
   /// thread-safe; the record answers probe_resolved_mask for any
@@ -177,13 +214,18 @@ class NetworkSim {
   std::vector<ZoneKernelParams> zone_kernel_;
   // Count `n` sent probes in the calling thread's lane cell.
   void count_probes(std::uint64_t n);
+  // decide_fanout for a walk plan: address by address, up to the
+  // first silent one.
+  bool walk_fanout(const FanoutDay& day, const ipv6::Prefix& prefix,
+                   const Universe::ZoneCursor& cursor) const;
 
   // The sent-probe counter, one cache line per writer lane
   // (obs::lane(): 0 for the coordinator, 1..N-1 for the engine
   // workers, which claim theirs at spawn), so the fan-out's workers,
-  // each adding once per candidate, never share a line. A lane at or
-  // past kCounterLanes folds onto cell lane % kCounterLanes; the add
-  // stays an atomic fetch_add, so a shared cell still counts exactly.
+  // each adding once per run of candidates (decide_fanouts), never
+  // share a line. A lane at or past kCounterLanes folds onto cell
+  // lane % kCounterLanes; the add stays an atomic fetch_add, so a
+  // shared cell still counts exactly.
   // Relaxed ordering is sufficient by invariant: these cells are the
   // sim's ONLY mutable state, no other memory is published through
   // them, and nothing branches on intermediate values. Every reader

@@ -5,15 +5,19 @@
 #include "netsim/network_sim.h"
 #include "util/rng.h"
 
-// The dense loops live in one function compiled twice: an AVX2 clone
-// (GCC synthesizes the 64-bit splitmix multiplies from 32-bit ymm
-// lanes) and the baseline encoding, dispatched once at load time via
-// the target_clones ifunc. Both clones run the same exact integer and
-// exactly-rounded double operations, so they are bit-identical to
-// each other and to NetworkSim::probe's scalar predicate on any CPU.
+// Each kernel's dense loops live in one function compiled three times:
+// an AVX-512 clone (x86-64-v4, whose vpmullq multiplies 64-bit lanes
+// natively), an AVX2 clone (GCC synthesizes the 64-bit splitmix
+// multiplies from 32-bit ymm lanes) and the baseline encoding,
+// dispatched once at load time via the target_clones ifunc. The
+// clones run the same exact integer and exactly-rounded double
+// operations, so they are bit-identical to each other and to
+// NetworkSim::probe's scalar predicate on any CPU. GCC 12 takes the
+// AVX-512 clone as "arch=x86-64-v4"; it rejects "avx512dq".
 // No clones under TSan: their ifunc resolver runs before TSan's runtime.
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__SANITIZE_THREAD__)
-#define V6H_PROBE_KERNEL_CLONES __attribute__((target_clones("avx2", "default")))
+#define V6H_PROBE_KERNEL_CLONES \
+  __attribute__((target_clones("arch=x86-64-v4", "avx2", "default")))
 #else
 #define V6H_PROBE_KERNEL_CLONES
 #endif
@@ -167,6 +171,65 @@ void mask_sweep(const ResolvedColumns& t, const ZoneKernelParams* zones,
   }
 }
 
+// One fan-out candidate's constants, fixed before its 16 lanes run.
+// Address n is Prefix::seeded_fanout_address(n, seeds[n]) with both
+// of Prefix::random_address's length cases folded into masks: the
+// random bits land where host_hi / host_lo are set, and the pinned
+// nybble n where pin_hi / pin_lo are. cut_* is the carve-out as a
+// masked compare; no_cut = 1 when the zone has none.
+struct FanoutLaneConsts {
+  std::uint64_t base_hi, base_lo;  // the prefix's address
+  std::uint64_t salt_hi, salt_lo;  // random_address's r_hi salts
+  std::uint64_t host_hi, host_lo;
+  std::uint64_t pin_hi, pin_lo;
+  unsigned pin_shift;
+  std::uint64_t cut_mask_hi, cut_mask_lo, cut_hi, cut_lo, no_cut;
+  std::uint64_t key_mix;  // splitmix64(zone key ^ kHashSeed)
+  std::uint64_t loss_t;
+};
+
+// Prefix::contains's mask: the top `bits` of a 64-bit half.
+std::uint64_t top_bits(unsigned bits) {
+  if (bits == 0) return 0;
+  if (bits >= 64) return ~std::uint64_t{0};
+  return ~((std::uint64_t{1} << (64 - bits)) - 1);
+}
+
+// The 16 lanes, ANDed: 1 iff every address lies outside the carve-out
+// and clears its loss roll. Each hash64(a, b, c) below is written out
+// as sm(sm(sm(a ^ kHashSeed) ^ b) ^ c), the loss roll with its
+// zone-key round hoisted into key_mix.
+V6H_PROBE_KERNEL_CLONES
+std::uint64_t fanout_lane_sweep(const FanoutLaneConsts& c,
+                                const std::uint64_t* seeds,
+                                const std::uint64_t* loss_salts) {
+  std::uint64_t answered = 1;
+  for (unsigned n = 0; n < 16; ++n) {
+    const std::uint64_t seed = seeds[n];
+    const std::uint64_t r_hi = splitmix64(
+        splitmix64(splitmix64(seed ^ kHashSeed) ^ c.salt_hi) ^ c.salt_lo);
+    const std::uint64_t r_lo =
+        splitmix64(splitmix64(splitmix64(r_hi ^ kHashSeed) ^
+                              (seed ^ 0x5f356495ULL)) ^
+                   c.base_hi);
+    const std::uint64_t pin = std::uint64_t{n} << c.pin_shift;
+    const std::uint64_t hi =
+        ((c.base_hi | (r_hi & c.host_hi)) & ~c.pin_hi) | (pin & c.pin_hi);
+    const std::uint64_t lo =
+        ((c.base_lo | (r_lo & c.host_lo)) & ~c.pin_lo) | (pin & c.pin_lo);
+    const std::uint64_t addr_hash =
+        splitmix64(splitmix64(splitmix64(hi ^ kHashSeed) ^ lo) ^ 0xADULL);
+    const std::uint64_t roll =
+        splitmix64(splitmix64(c.key_mix ^ addr_hash) ^ loss_salts[n]) >> 11;
+    const std::uint64_t outside =
+        static_cast<std::uint64_t>((((hi & c.cut_mask_hi) ^ c.cut_hi) |
+                                    ((lo & c.cut_mask_lo) ^ c.cut_lo)) != 0) |
+        c.no_cut;
+    answered &= static_cast<std::uint64_t>(roll >= c.loss_t) & outside;
+  }
+  return answered;
+}
+
 }  // namespace
 
 void probe_mask_branchless(const ResolvedColumns& t,
@@ -190,6 +253,41 @@ void probe_mask_branchless(const ResolvedColumns& t,
   const auto day_u = static_cast<std::uint64_t>(day);
   mask_sweep(t, zones, rows, count, bit, quic, salt_stab, salt_node,
              salt_quic_h, salt_quic_a, salt_loss, day_u, masks);
+}
+
+bool fanout_lanes(const ipv6::Prefix& prefix, const ipv6::Prefix* carveout,
+                  const ZoneKernelParams& zone, const std::uint64_t* seeds,
+                  const std::uint64_t* loss_salts) {
+  const unsigned length = prefix.length();
+  FanoutLaneConsts c{};
+  c.base_hi = prefix.address().hi;
+  c.base_lo = prefix.address().lo;
+  c.salt_hi = c.base_hi ^ 0x9d2c5680ULL;
+  c.salt_lo = c.base_lo + length;
+  c.host_hi = length >= 64 ? 0 : ~top_bits(length);
+  c.host_lo = length >= 64 ? ~top_bits(length - 64) : ~std::uint64_t{0};
+  if (length <= 124) {
+    // The first whole nybble below the prefix.
+    const unsigned index = (length + 3) / 4;
+    if (index < 16) {
+      c.pin_shift = (15 - index) * 4;
+      c.pin_hi = std::uint64_t{0xf} << c.pin_shift;
+    } else {
+      c.pin_shift = (31 - index) * 4;
+      c.pin_lo = std::uint64_t{0xf} << c.pin_shift;
+    }
+  }
+  c.no_cut = carveout == nullptr;
+  if (carveout != nullptr) {
+    const unsigned cut = carveout->length();
+    c.cut_mask_hi = top_bits(cut);
+    c.cut_mask_lo = cut > 64 ? top_bits(cut - 64) : 0;
+    c.cut_hi = carveout->address().hi;
+    c.cut_lo = carveout->address().lo;
+  }
+  c.key_mix = splitmix64(zone.key ^ kHashSeed);
+  c.loss_t = zone.loss_t;
+  return fanout_lane_sweep(c, seeds, loss_salts) != 0;
 }
 
 }  // namespace v6h::netsim

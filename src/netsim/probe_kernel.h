@@ -1,8 +1,10 @@
 #pragma once
 
-// Branch-free columnar probe kernel: the SIMD form of the day/seq
-// predicate half of NetworkSim::probe (resolved_responds in
-// network_sim.cpp).
+// Branch-free probe kernels: the SIMD forms of the day/seq predicate
+// half of NetworkSim::probe (resolved_responds in network_sim.cpp).
+// probe_mask_branchless sweeps the scan's resolved rows;
+// fanout_lanes decides an APD candidate in aliased space, its 16
+// fan-out addresses one lane each.
 //
 // The scalar predicate short-circuits: it rolls a loss hash only when
 // the zone has loss, a churn hash only for node zones, a QUIC hash
@@ -12,11 +14,13 @@
 // service mask and splits them into dense honest and aliased lanes,
 // then branchless unit-stride loops compute every hash
 // unconditionally and combine the verdicts with masks, and a scatter
-// pass ORs the protocol bit into the frame's mask column. The dense
-// loops carry no lane-dependent control flow, so the compiler
+// pass ORs the protocol bit into the frame's mask column. The fan-out
+// kernel runs one loop of 16 lanes, each building an address, hashing
+// it and rolling its loss, and ANDs the lanes. Neither kernel's dense
+// loops carry lane-dependent control flow, so the compiler
 // auto-vectorizes them (tools/check_vectorization.sh asserts the
-// remarks); per-function target clones give AVX2 encodings with a
-// baseline fallback picked at load time.
+// remarks); per-function target clones give AVX-512 and AVX2
+// encodings with a baseline fallback picked at load time.
 //
 // Bit-exact equivalence with the scalar path is load-bearing, not
 // best-effort. Every threshold comparison uses the exact-integer
@@ -26,13 +30,15 @@
 // (the day-dependent QUIC acceptance rate) is computed with the
 // scalar path's exact rounding sequence. tests/test_probe_kernel.cpp
 // asserts mask-for-mask equality with NetworkSim::probe across address
-// classes, protocols, days, seq, and batch shapes;
+// classes, protocols, days, seq, and batch shapes, and every fan-out
+// decision against 16 NetworkSim::probe calls;
 // tests/test_scan_equivalence.cpp checks whole campaigns against
 // NetworkSim::probe for seeds x schedules x thread counts.
 
 #include <cstddef>
 #include <cstdint>
 
+#include "ipv6/prefix.h"
 #include "net/protocol.h"
 
 namespace v6h::netsim {
@@ -73,5 +79,18 @@ void probe_mask_branchless(const ResolvedColumns& t,
                            const std::uint32_t* rows, std::size_t count,
                            net::Protocol protocol, int day, unsigned seq,
                            net::ProtocolMask* masks);
+
+/// The APD fan-out of `prefix` in aliased space whose zone is `zone`:
+/// whether all 16 addresses prefix.seeded_fanout_address(n, seeds[n])
+/// answer, address n at seq n. Each lane builds its address, its
+/// address hash and its loss roll against loss_salts[n] (hash64(day,
+/// n, protocol)) through the identity above, and a lane inside
+/// `carveout` (null when the zone has none) never answers: such an
+/// address is honest space, where an aliased zone inverts no slot.
+/// Bit-identical to NetworkSim::probe for a zone that serves the
+/// protocol and rolls no flaky-QUIC acceptance on it.
+bool fanout_lanes(const ipv6::Prefix& prefix, const ipv6::Prefix* carveout,
+                  const ZoneKernelParams& zone, const std::uint64_t* seeds,
+                  const std::uint64_t* loss_salts);
 
 }  // namespace v6h::netsim

@@ -114,6 +114,11 @@ void BgpTable::add(const Announcement& announcement) {
   announcements_.push_back(announcement);
 }
 
+void BgpTable::shrink_to_fit() {
+  announcements_.shrink_to_fit();
+  trie_.shrink_to_fit();
+}
+
 const Announcement* BgpTable::lookup(const Address& a) const {
   const std::uint32_t* index = trie_.longest_match(a);
   return index == nullptr ? nullptr : &announcements_[*index];
@@ -501,6 +506,12 @@ void Universe::build(engine::Engine* engine) {
     for (const auto& announcement : plan.announcements) bgp_.add(announcement);
     for (auto& config : plan.zones) add_zone(std::move(config));
   }
+  // The tries grew by doubling (at scale 0.3 the zone trie holds
+  // ~75k nodes in room for 131,072, 1.5 MB) and are read-only from
+  // here on, so their slack goes now rather than living as long as the
+  // universe.
+  zone_trie_.shrink_to_fit();
+  bgp_.shrink_to_fit();
 }
 
 }  // namespace v6h::netsim

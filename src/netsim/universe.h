@@ -117,6 +117,10 @@ class BgpTable {
   const std::vector<Announcement>& announcements() const { return announcements_; }
   std::size_t size() const { return announcements_.size(); }
 
+  /// Release the announcement list's and the trie's growth slack once
+  /// the last announcement is added.
+  void shrink_to_fit();
+
   const Announcement* lookup(const ipv6::Address& a) const;
   std::uint32_t origin_as(const ipv6::Address& a) const;
   bool is_routed(const ipv6::Address& a) const { return lookup(a) != nullptr; }

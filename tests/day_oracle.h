@@ -8,10 +8,12 @@
 //    AliasDetector::candidate_prefixes(targets()), in crossing order
 //    (the detector's incremental per-prefix counts must never drift,
 //    and a candidate's index never moves).
-//  - Each candidate's cached cursor, detector().cursors()[i], equals
-//    a fresh universe().zone_cursor(candidate i) field by field. A
-//    verdict check alone would pass a cursor taken higher up the
-//    trie: it resolves the same zones but walks a longer path.
+//  - Each candidate's cached plan, detector().plans()[i], equals a
+//    fresh plan_fanout(candidate i, the APD protocol) on the reference
+//    NetworkSim field by field: cursor node, best, depth and kind. A
+//    verdict check alone would pass a cursor taken higher up the trie
+//    (it resolves the same zones but walks a longer path), and a kind
+//    that is wrong only on days the checked verdicts do not show.
 //  - Raw verdict i, detector().outcome(i), is "aliased" iff all 16 of
 //    candidate i's fan-out addresses answer NetworkSim::probe at
 //    seq = nybble, on the reference NetworkSim below.
@@ -73,22 +75,24 @@ inline hitlist::Pipeline::DayReport run_checked_day(hitlist::Pipeline& pipeline,
 
   const auto& detector = pipeline.detector();
   const auto& candidates = detector.candidates();
-  const auto& cursors = detector.cursors();
+  const auto& plans = detector.plans();
   CHECK(candidates == detector.candidate_prefixes(pipeline.targets()));
-  CHECK_EQ(cursors.size(), candidates.size());
-  const std::size_t batch = std::min(candidates.size(), cursors.size());
-  std::size_t cursor_mismatches = 0;
+  CHECK_EQ(plans.size(), candidates.size());
+  const std::size_t batch = std::min(candidates.size(), plans.size());
+  const net::Protocol apd_protocol = pipeline.options().apd.protocol;
+  std::size_t plan_mismatches = 0;
   for (std::size_t i = 0; i < batch; ++i) {
-    const auto fresh = reference.universe().zone_cursor(candidates[i]);
-    cursor_mismatches += cursors[i].node != fresh.node ||
-                         cursors[i].best != fresh.best ||
-                         cursors[i].depth != fresh.depth;
+    const netsim::FanoutPlan fresh =
+        reference.plan_fanout(candidates[i], apd_protocol);
+    plan_mismatches += plans[i].cursor.node != fresh.cursor.node ||
+                       plans[i].cursor.best != fresh.cursor.best ||
+                       plans[i].cursor.depth != fresh.cursor.depth ||
+                       plans[i].kind != fresh.kind;
   }
-  CHECK_EQ(cursor_mismatches, 0u);
+  CHECK_EQ(plan_mismatches, 0u);
   // Each raw verdict against its 16 addresses probed one by one, at
   // seq = nybble. These reference probes stay outside the counter
   // window the probe-count check below reads.
-  const net::Protocol apd_protocol = pipeline.options().apd.protocol;
   std::size_t fanout_mismatches = 0;
   for (std::size_t i = 0; i < batch; ++i) {
     unsigned answered = 0;

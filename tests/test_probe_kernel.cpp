@@ -9,24 +9,27 @@
 // tests/test_scan_equivalence.cpp, whose every scanned mask must equal
 // NetworkSim::probe.
 //
-// The APD fan-out decision (all_respond) is the other batch form of
-// probe(): over zone prefixes, /48../112 prefixes around the same
-// address classes, /32 announcements with zones below them, and alias
-// carve-outs with their aliased parents, it must be true exactly when
-// all 16 probe().responded are, and it must count exactly 16 probes
-// even when it stops at the first silent address. Each prefix descends
-// the zone trie once per day, and all five protocols' decisions reuse
-// that cursor, as the detector reuses a candidate's. The partial
-// batches must put that first silent address at every position 0..15,
-// so the sweep makes the decision stop at each of them. Every swept
-// cursor must be settled exactly when no zone prefix lies strictly
-// inside its prefix, and the sweep must reach both the decisions a
-// settled cursor takes from its zone alone and every kind that falls
-// through to the per-address loop. Each alias carve-out is then hit
-// on purpose: a fan-out address of its aliased parent, with its seed
+// The APD fan-out decision (plan_fanout + decide_fanouts) is the
+// other batch form of probe(): over zone prefixes, /48../112 prefixes
+// around the same address classes, /32 announcements with zones below
+// them, and alias carve-outs with their aliased parents, it must be
+// true exactly when all 16 probe().responded are, and each run of
+// candidates must count exactly 16 probes a candidate even when the
+// decision builds no address or stops at the first silent one. Each
+// (prefix, protocol) plans once per day, as the detector plans a
+// candidate once. The partial batches must put that first silent
+// address at every position 0..15, so the walk stops at each of them.
+// Every swept plan's cursor must be settled exactly when no zone
+// prefix lies strictly inside its prefix, every plan's kind must equal
+// the one a scan over every zone derives, and the sweep must reach
+// every path and every kind. Each alias carve-out is then hit on
+// purpose: a fan-out address of its aliased parent, with its seed
 // searched until it lands inside the carve-out, must turn that
-// parent's decision silent. Last, both entry points count exactly
-// from observability lanes inside and past the counter's cells.
+// parent's decision silent, in the lanes as on the walk. The lanes
+// are then swept over every prefix length inside each lossy aliased
+// zone, since the sweep above meets only a few. Last, both counting
+// entry points count exactly from observability lanes inside and past
+// the counter's cells.
 
 #include <algorithm>
 #include <array>
@@ -107,8 +110,31 @@ std::vector<ipv6::Prefix> fanout_prefixes(
   return out;
 }
 
-// How all_respond should reach a decision: from a settled cursor's
-// zone alone, or through the per-address loop, and why.
+// Where `prefix` lies, from a scan over every zone: whether a zone
+// prefix lies strictly inside it, and the most specific zone holding
+// it whole.
+struct ZoneScan {
+  bool inside = false;
+  const netsim::Zone* zone = nullptr;
+};
+
+ZoneScan scan_zones(const netsim::Universe& universe,
+                    const ipv6::Prefix& prefix) {
+  ZoneScan out;
+  for (const auto& zone : universe.zones()) {
+    const ipv6::Prefix& zp = zone.prefix();
+    if (zp.length() > prefix.length() && prefix.contains(zp)) {
+      out.inside = true;
+    } else if (zp.contains(prefix) &&
+               (out.zone == nullptr ||
+                zp.length() > out.zone->prefix().length())) {
+      out.zone = &zone;
+    }
+  }
+  return out;
+}
+
+// Which kind of space the fan-out decision meets, and why.
 enum FanoutPath : unsigned {
   kSettledAliased,   // loss-free aliased space no carve-out reaches
   kSettledUnrouted,  // the whole prefix outside every zone
@@ -120,14 +146,11 @@ enum FanoutPath : unsigned {
   kFanoutPaths,
 };
 
-FanoutPath fanout_path(const netsim::Universe& universe,
-                       const ipv6::Prefix& prefix,
-                       const netsim::Universe::ZoneCursor& cursor,
+FanoutPath fanout_path(const ZoneScan& where, const ipv6::Prefix& prefix,
                        net::Protocol protocol) {
-  if (cursor.node >= 0) return kUnsettled;
-  const netsim::Zone* zone = universe.zone_at(cursor, prefix.address());
-  if (zone == nullptr) return kSettledUnrouted;
-  const auto& config = zone->config();
+  if (where.inside) return kUnsettled;
+  if (where.zone == nullptr) return kSettledUnrouted;
+  const auto& config = where.zone->config();
   if (!config.aliased) return kHonest;
   if (config.carveout && (config.carveout->contains(prefix) ||
                           prefix.contains(*config.carveout))) {
@@ -140,24 +163,41 @@ FanoutPath fanout_path(const netsim::Universe& universe,
   return kSettledAliased;
 }
 
+// The plan kind a path calls for: aliased space not serving the
+// protocol is never answered, and flaky QUIC on UDP/443 walks.
+using Kind = netsim::FanoutPlan::Kind;
+constexpr std::size_t kKinds = 4;
+
+Kind expected_kind(FanoutPath path, const ZoneScan& where,
+                   net::Protocol protocol) {
+  if (path == kSettledUnrouted) return Kind::kNever;
+  if (path == kHonest || path == kUnsettled) return Kind::kWalk;
+  const auto& config = where.zone->config();
+  if (!net::responds_to(config.machine_service, protocol)) return Kind::kNever;
+  if (config.quic_flaky && protocol == net::Protocol::kUdp443) {
+    return Kind::kWalk;
+  }
+  return path == kSettledAliased ? Kind::kAlways : Kind::kLanes;
+}
+
 struct FanoutTally {
   std::size_t calls = 0;
-  std::size_t decision_mismatches = 0;  // all_respond != all 16 probe()
-  std::size_t probe_miscounts = 0;      // probes_sent() did not grow by 16
+  std::size_t decision_mismatches = 0;  // verdict != all 16 probe()
+  std::size_t probe_miscounts = 0;      // a run did not count 16 apiece
+  std::size_t kind_mismatches = 0;      // plan kind != expected_kind
   std::size_t none = 0;                 // 0 of 16 answered
   std::size_t some = 0;                 // 1..15 of 16
   std::size_t all = 0;                  // 16 of 16
   // Partial batches by the nybble of their first silent address.
   std::array<std::size_t, 16> first_silent{};
-  // Calls by the path all_respond should decide them on.
+  // Calls by the kind of space they meet, and by their plan's kind.
   std::array<std::size_t, kFanoutPaths> paths{};
+  std::array<std::size_t, kKinds> kinds{};
 };
 
-using FanoutSeeds = std::array<std::uint64_t, 16>;
-
 // The sweep's 16 fan-out seeds of `day`.
-FanoutSeeds day_seeds(int day) {
-  FanoutSeeds seeds;
+netsim::FanoutDay::Seeds day_seeds(int day) {
+  netsim::FanoutDay::Seeds seeds;
   for (unsigned nybble = 0; nybble < 16; ++nybble) {
     seeds[nybble] =
         ipv6::Prefix::fanout_seed(nybble, util::hash64(day, nybble, 0xfa17));
@@ -165,29 +205,38 @@ FanoutSeeds day_seeds(int day) {
   return seeds;
 }
 
-// One fan-out decision under `prefix`, resumed at its zone-trie
-// `cursor`, against 16 probe() calls on the same addresses at
-// seq = nybble.
+// Decide `count` prefixes in one decide_fanouts run, which must count
+// 16 probes apiece, into `verdicts`.
+void decide_run(netsim::NetworkSim& sim, const netsim::FanoutDay& day,
+                const ipv6::Prefix* prefixes, const netsim::FanoutPlan* plans,
+                std::size_t count, std::uint8_t* verdicts, FanoutTally& tally) {
+  const std::uint64_t before = sim.probes_sent();
+  sim.decide_fanouts(day, prefixes, plans, count, verdicts);
+  tally.probe_miscounts += sim.probes_sent() - before != 16 * count;
+}
+
+// One fan-out verdict under `prefix`, planned as `plan`, against 16
+// probe() calls on the same addresses at seq = nybble, and the plan's
+// kind against the one `where` calls for.
 void check_fanout(netsim::NetworkSim& sim, const ipv6::Prefix& prefix,
-                  const netsim::Universe::ZoneCursor& cursor,
-                  const FanoutSeeds& seeds, net::Protocol protocol, int day,
+                  const ZoneScan& where, const netsim::FanoutPlan& plan,
+                  const netsim::FanoutDay& day, bool verdict,
                   FanoutTally& tally) {
   unsigned answered = 0;
   unsigned first_silent = 16;
   for (unsigned nybble = 0; nybble < 16; ++nybble) {
     const bool responded =
-        sim.probe(prefix.seeded_fanout_address(nybble, seeds[nybble]),
-                  protocol, day, nybble)
+        sim.probe(prefix.seeded_fanout_address(nybble, day.seeds[nybble]),
+                  day.protocol, day.day, nybble)
             .responded;
     answered += responded;
     if (!responded && first_silent == 16) first_silent = nybble;
   }
-  ++tally.paths[fanout_path(sim.universe(), prefix, cursor, protocol)];
-  const std::uint64_t before = sim.probes_sent();
-  const bool decided =
-      sim.all_respond(prefix, cursor, seeds.data(), 16, protocol, day);
-  tally.probe_miscounts += sim.probes_sent() - before != 16;
-  tally.decision_mismatches += decided != (answered == 16);
+  const FanoutPath path = fanout_path(where, prefix, day.protocol);
+  ++tally.paths[path];
+  ++tally.kinds[static_cast<std::size_t>(plan.kind)];
+  tally.kind_mismatches += plan.kind != expected_kind(path, where, day.protocol);
+  tally.decision_mismatches += verdict != (answered == 16);
   ++tally.calls;
   if (answered == 0) {
     ++tally.none;
@@ -197,18 +246,6 @@ void check_fanout(netsim::NetworkSim& sim, const ipv6::Prefix& prefix,
     ++tally.some;
     ++tally.first_silent[first_silent];
   }
-}
-
-// Does any zone prefix lie strictly inside `prefix`? Brute force over
-// every zone, against which a settled cursor is checked.
-bool zone_inside(const netsim::Universe& universe, const ipv6::Prefix& prefix) {
-  for (const auto& zone : universe.zones()) {
-    if (zone.prefix().length() > prefix.length() &&
-        prefix.contains(zone.prefix())) {
-      return true;
-    }
-  }
-  return false;
 }
 
 // The nybble a fan-out address under `prefix` pins (the first one
@@ -221,7 +258,7 @@ unsigned fanout_nybble_index(const ipv6::Prefix& prefix) {
 // inside that carve-out: the carve-out's own nybble, with its seed
 // searched until the address lands inside. The carve-out address can
 // never answer (aliased zones never invert a slot), so the 16
-// reference probes are never all answered, and all_respond must agree
+// reference probes are never all answered, and the decision must agree
 // on each of `days` and every protocol. Returns the zones hit.
 std::size_t check_carveout_hits(netsim::NetworkSim& sim,
                                 const std::vector<int>& days,
@@ -245,16 +282,51 @@ std::size_t check_carveout_hits(netsim::NetworkSim& sim,
     }
     if (!inside) continue;
     ++zones_hit;
-    const auto cursor = universe.zone_cursor(prefix);
+    const ZoneScan where = scan_zones(universe, prefix);
     for (const int day : days) {
-      FanoutSeeds seeds = day_seeds(day);
+      netsim::FanoutDay::Seeds seeds = day_seeds(day);
       seeds[nybble] = seed;
       for (const auto protocol : net::kAllProtocols) {
-        check_fanout(sim, prefix, cursor, seeds, protocol, day, tally);
+        const netsim::FanoutDay fanout(seeds, day, protocol);
+        const netsim::FanoutPlan plan = sim.plan_fanout(prefix, protocol);
+        std::uint8_t verdict = 0;
+        decide_run(sim, fanout, &prefix, &plan, 1, &verdict, tally);
+        check_fanout(sim, prefix, where, plan, fanout, verdict != 0, tally);
       }
     }
   }
   return zones_hit;
+}
+
+// Every prefix length from each lossy aliased zone's own to /128,
+// anchored at one address of the zone, probed with a protocol the
+// zone serves: the lanes fold Prefix::random_address's two length
+// cases and the pinned nybble into masks, and the sweep above meets
+// only /48, /64, /96, /112 and the zones' own lengths. Each prefix
+// must plan lanes and decide as its 16 probes do.
+void check_lane_lengths(netsim::NetworkSim& sim, FanoutTally& tally) {
+  const netsim::Universe& universe = sim.universe();
+  for (const auto& zone : universe.zones()) {
+    const auto& config = zone.config();
+    if (!config.aliased || config.loss <= 0.0 ||
+        !net::responds_to(config.machine_service, net::Protocol::kIcmp)) {
+      continue;
+    }
+    const ipv6::Address anchor = config.prefix.random_address(zone.key());
+    for (unsigned length = config.prefix.length(); length <= 128; ++length) {
+      const ipv6::Prefix prefix(anchor, static_cast<std::uint8_t>(length));
+      const ZoneScan where = scan_zones(universe, prefix);
+      const netsim::FanoutPlan plan =
+          sim.plan_fanout(prefix, net::Protocol::kIcmp);
+      for (const int day : {0, 61}) {
+        const netsim::FanoutDay fanout(day_seeds(day), day,
+                                       net::Protocol::kIcmp);
+        std::uint8_t verdict = 0;
+        decide_run(sim, fanout, &prefix, &plan, 1, &verdict, tally);
+        check_fanout(sim, prefix, where, plan, fanout, verdict != 0, tally);
+      }
+    }
+  }
 }
 
 void run_tests() {
@@ -273,13 +345,27 @@ void run_tests() {
   for (const int day : {0, 13, 61, 200}) {
     const auto targets = probe_targets(universe, day);
     const auto prefixes = fanout_prefixes(universe, targets);
-    const FanoutSeeds seeds = day_seeds(day);
+    const netsim::FanoutDay::Seeds seeds = day_seeds(day);
     fanout_prefix_count += prefixes.size();
+    std::vector<ZoneScan> where;
     for (const auto& prefix : prefixes) {
-      const auto cursor = universe.zone_cursor(prefix);
-      settle_mismatches += (cursor.node < 0) == zone_inside(universe, prefix);
-      for (const auto protocol : net::kAllProtocols) {
-        check_fanout(sim, prefix, cursor, seeds, protocol, day, fanout);
+      where.push_back(scan_zones(universe, prefix));
+    }
+    // One decide_fanouts run per protocol over every prefix, as the
+    // detector decides a chunk of candidates.
+    std::vector<netsim::FanoutPlan> plans(prefixes.size());
+    std::vector<std::uint8_t> verdicts(prefixes.size());
+    for (const auto protocol : net::kAllProtocols) {
+      const netsim::FanoutDay fanout_day(seeds, day, protocol);
+      for (std::size_t i = 0; i < prefixes.size(); ++i) {
+        plans[i] = sim.plan_fanout(prefixes[i], protocol);
+        settle_mismatches += (plans[i].cursor.node < 0) == where[i].inside;
+      }
+      decide_run(sim, fanout_day, prefixes.data(), plans.data(),
+                 prefixes.size(), verdicts.data(), fanout);
+      for (std::size_t i = 0; i < prefixes.size(); ++i) {
+        check_fanout(sim, prefixes[i], where[i], plans[i], fanout_day,
+                     verdicts[i] != 0, fanout);
       }
     }
     // Several tiles plus a ragged tail, or the batch shapes below
@@ -318,6 +404,7 @@ void run_tests() {
 
   CHECK_EQ(fanout.decision_mismatches, 0u);
   CHECK_EQ(fanout.probe_miscounts, 0u);
+  CHECK_EQ(fanout.kind_mismatches, 0u);
   CHECK_EQ(fanout.calls, fanout_prefix_count * net::kAllProtocols.size());
   // The sweep reaches silent, partial and fully answering prefixes,
   // and the decision has to stop at every position.
@@ -331,10 +418,13 @@ void run_tests() {
 
   // A settled cursor is one with no zone strictly inside its prefix:
   // the fold must not settle a node with children, and must not stop
-  // settling childless ones. And the sweep reaches every path.
+  // settling childless ones. And the sweep reaches every path and
+  // every plan kind.
   CHECK_EQ(settle_mismatches, 0u);
   const auto& paths = fanout.paths;
   CHECK(std::count(paths.begin(), paths.end(), std::size_t{0}) == 0);
+  const auto& kinds = fanout.kinds;
+  CHECK(std::count(kinds.begin(), kinds.end(), std::size_t{0}) == 0);
   const std::size_t settled = paths[kSettledAliased] + paths[kSettledUnrouted];
   std::printf(
       "fan-out paths: %zu settled (%zu aliased, %zu unrouted), %zu per "
@@ -343,9 +433,14 @@ void run_tests() {
       settled, paths[kSettledAliased], paths[kSettledUnrouted],
       fanout.calls - settled, paths[kLossy], paths[kFlakyQuic],
       paths[kCarveout], paths[kHonest], paths[kUnsettled]);
+  std::printf("fan-out plans: %zu never, %zu always, %zu lanes, %zu walk\n",
+              kinds[static_cast<std::size_t>(Kind::kNever)],
+              kinds[static_cast<std::size_t>(Kind::kAlways)],
+              kinds[static_cast<std::size_t>(Kind::kLanes)],
+              kinds[static_cast<std::size_t>(Kind::kWalk)]);
 
   // Carve-outs hit on purpose: every such zone is found, and its
-  // carve-out address makes each decision silent.
+  // carve-out address makes each decision silent, the lanes' included.
   FanoutTally carveout;
   const std::size_t carveout_zones =
       check_carveout_hits(sim, {0, 61}, carveout);
@@ -358,34 +453,55 @@ void run_tests() {
   CHECK_EQ(carveout.calls, carveout_zones * 2 * net::kAllProtocols.size());
   CHECK_EQ(carveout.decision_mismatches, 0u);
   CHECK_EQ(carveout.probe_miscounts, 0u);
+  CHECK_EQ(carveout.kind_mismatches, 0u);
+  CHECK(carveout.kinds[static_cast<std::size_t>(Kind::kLanes)] > 0);
   CHECK_EQ(carveout.all, 0u);
   CHECK_EQ(carveout.paths[kCarveout], carveout.calls);
   std::printf("carve-out hits: %zu zones, %zu batches\n", carveout_zones,
               carveout.calls);
 
+  // Lanes at every prefix length, both answering in full and not.
+  FanoutTally lengths;
+  check_lane_lengths(sim, lengths);
+  CHECK(lengths.calls > 0);
+  CHECK_EQ(lengths.decision_mismatches, 0u);
+  CHECK_EQ(lengths.probe_miscounts, 0u);
+  CHECK_EQ(lengths.kind_mismatches, 0u);
+  CHECK_EQ(lengths.kinds[static_cast<std::size_t>(Kind::kLanes)], lengths.calls);
+  CHECK(lengths.all > 0);
+  CHECK(lengths.none + lengths.some > 0);
+  std::printf("lane lengths: %zu batches, %zu full\n", lengths.calls, lengths.all);
+
   // The sent counter keeps one cell per writer lane and folds a lane
   // past its cells onto one of them: from any lane, each call adds
   // exactly its count, and the sum stays exact.
-  const ipv6::Prefix lane_prefix = universe.zones().front().prefix();
-  const auto lane_cursor = universe.zone_cursor(lane_prefix);
-  const FanoutSeeds lane_seeds = day_seeds(0);
+  std::vector<ipv6::Prefix> lane_prefixes;
+  std::vector<netsim::FanoutPlan> lane_plans;
+  for (std::size_t z = 0; z < 3; ++z) {
+    lane_prefixes.push_back(universe.zones()[z].prefix());
+    lane_plans.push_back(
+        sim.plan_fanout(lane_prefixes.back(), net::Protocol::kIcmp));
+  }
+  const netsim::FanoutDay lane_day(day_seeds(0), 0, net::Protocol::kIcmp);
+  std::vector<std::uint8_t> lane_verdicts(lane_prefixes.size());
   const std::uint64_t lanes_start = sim.probes_sent();
   std::size_t lane_miscounts = 0;
   std::uint64_t lane_calls = 0;
   for (const unsigned lane : {0u, 1u, 15u, 16u, 1000u}) {
     obs::set_lane(lane);
     std::uint64_t before = sim.probes_sent();
-    sim.all_respond(lane_prefix, lane_cursor, lane_seeds.data(), 16,
-                    net::Protocol::kIcmp, 0);
-    lane_miscounts += sim.probes_sent() - before != 16;
+    sim.decide_fanouts(lane_day, lane_prefixes.data(), lane_plans.data(),
+                       lane_prefixes.size(), lane_verdicts.data());
+    lane_miscounts += sim.probes_sent() - before != 16 * lane_prefixes.size();
     before = sim.probes_sent();
-    sim.probe(lane_prefix.address(), net::Protocol::kIcmp, 0);
+    sim.probe(lane_prefixes.front().address(), net::Protocol::kIcmp, 0);
     lane_miscounts += sim.probes_sent() - before != 1;
     ++lane_calls;
   }
   obs::set_lane(0);
   CHECK_EQ(lane_miscounts, 0u);
-  CHECK_EQ(sim.probes_sent() - lanes_start, 17 * lane_calls);
+  CHECK_EQ(sim.probes_sent() - lanes_start,
+           (16 * lane_prefixes.size() + 1) * lane_calls);
 }
 
 }  // namespace
